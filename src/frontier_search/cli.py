@@ -379,6 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "gen":
+        if not 0.0 <= args.density <= 1.0:
+            raise ValueError(f"--density must be within [0, 1], got {args.density}")
+        if args.items < 0:
+            raise ValueError(f"--items must be non-negative, got {args.items}")
         if args.problem == "knapsack":
             text = render_knapsack(
                 gen_knapsack(

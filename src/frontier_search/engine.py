@@ -6,9 +6,14 @@ per depth level and runs each level through a fixed pipeline:
     expand -> dedupe -> reduce_equivalent -> filter_dominated -> collect_locals
 
 Feasible solutions are read off each post-prune frontier (including the
-initial one) and folded into a running optimum, which is equivalent to
-applying the cost-extremal filter once at the end.  The search stops when the
-frontier empties or the depth bound is reached.
+initial one) and the cost-extremal filter is applied to all of them once at
+the end.  The search stops when the frontier empties or the depth bound is
+reached.
+
+When a theory gives a ``pareto_key``, dominance within a group is a 2-D
+order, and ``filter_dominated`` finds the undominated members with one sort
+and a sweep (the Pareto-list method of Nemhauser and Ullmann, and of Kung,
+Luccio and Preparata) instead of testing every pair of members.
 
 When a theory declares ``strictly_ranked`` and the frontier is a singleton,
 the pipeline collapses to picking the single cheapest child (canonical order
@@ -21,7 +26,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .theory import Direction, ProblemTheory, Solution
 
@@ -53,7 +58,6 @@ class EngineConfig:
     greedy_violation: GreedyFallback = GreedyFallback.FAIL
     #: Maximum split depth; defaults to the theory's own bound.
     depth_bound: Optional[int] = None
-    collect_per_level_stats: bool = True
     #: Worker threads used to split frontier members in parallel.  Outputs
     #: are identical for any value; 1 keeps everything on the calling thread.
     threads: int = 1
@@ -173,8 +177,10 @@ def filter_dominated(theory: ProblemTheory, reps: list[Any]) -> tuple[list[Any],
     """Remove every member strictly dominated by another representative.
 
     ``reps`` must be free of mutual dominances, which makes survival
-    order-independent.
+    order-independent.  Survivors keep their input order.
     """
+    if theory.pareto_key is not None:
+        return _pareto_sweep(theory.pareto_key, reps)
     groups: dict = {}
     for y in reps:
         groups.setdefault(theory.dominance_key(y), []).append(y)
@@ -187,6 +193,26 @@ def filter_dominated(theory: ProblemTheory, reps: list[Any]) -> tuple[list[Any],
         else:
             survivors.append(y)
     return survivors, pruned
+
+
+def _pareto_sweep(key: Callable[[Any], tuple], reps: list[Any]) -> tuple[list[Any], int]:
+    """``filter_dominated`` for dominance given as a ``pareto_key`` order.
+
+    In ``(group, a, b)`` order a member is dominated exactly when an earlier
+    member of its group has a ``b`` no greater.  Without mutual dominances no
+    two members of a group share ``(a, b)``, so the strict test is exact.
+    """
+    keys = [key(y) for y in reps]
+    keep = [False] * len(reps)
+    group: Any = object()  # equal to no key's group, so the first is kept
+    lowest: Any = None
+    for i in sorted(range(len(reps)), key=keys.__getitem__):
+        g, _, b = keys[i]
+        if g != group or b < lowest:
+            group, lowest = g, b
+            keep[i] = True
+    survivors = [y for y, k in zip(reps, keep) if k]
+    return survivors, len(reps) - len(survivors)
 
 
 def collect_locals(theory: ProblemTheory, spaces: Iterable[Any]) -> list[tuple[Solution, int]]:
@@ -224,21 +250,6 @@ def check_greedy(spaces: list[Any]) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _merge_best(
-    best_cost: Optional[int],
-    best: set,
-    found: list[tuple[Solution, int]],
-    direction: Direction,
-) -> tuple[Optional[int], set]:
-    for z, c in found:
-        if best_cost is None or direction.better(c, best_cost):
-            best_cost = c
-            best = {z}
-        elif c == best_cost:
-            best.add(z)
-    return best_cost, best
-
-
 def _greedy_step(theory: ProblemTheory, parent: Any) -> tuple[Optional[Any], int]:
     """Cheapest child of ``parent`` under the theory's strict ranking.
 
@@ -265,14 +276,12 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
         config.depth_bound if config.depth_bound is not None else theory.max_depth()
     )
 
-    generated = duplicates = merged = pruned = locals_found = 0
+    generated = duplicates = merged = pruned = 0
     rows: list[tuple[int, int]] = []
     levels = 0
 
     frontier = Frontier(0, (theory.initial(),))
     found = collect_locals(theory, frontier.spaces)
-    locals_found += len(found)
-    best_cost, best = _merge_best(None, set(), found, theory.direction)
 
     while frontier.spaces and frontier.level < depth_bound:
         levels += 1
@@ -304,20 +313,18 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
             if width is not None and config.greedy_violation is GreedyFallback.FAIL:
                 raise GreedyViolation(frontier.level + 1, width)
 
-        if config.collect_per_level_stats:
-            rows.append((raw, len(survivors)))
+        rows.append((raw, len(survivors)))
         frontier = Frontier(frontier.level + 1, tuple(survivors))
-        found = collect_locals(theory, frontier.spaces)
-        locals_found += len(found)
-        best_cost, best = _merge_best(best_cost, best, found, theory.direction)
+        found.extend(collect_locals(theory, frontier.spaces))
 
+    best_cost, best = opt_c(found, theory.direction)
     stats = SearchStats(
         levels=levels,
         generated=generated,
         duplicates_removed=duplicates,
         equivalence_merged=merged,
         dominated_pruned=pruned,
-        locals_found=locals_found,
+        locals_found=len(found),
         per_level_width=tuple(rows),
     )
-    return SolveResult(optima=frozenset(best), optimal_cost=best_cost, stats=stats)
+    return SolveResult(optima=best, optimal_cost=best_cost, stats=stats)

@@ -105,3 +105,7 @@ class Knapsack(ProblemTheory):
     def equivalence_key(self, y: KnapsackDescriptor) -> tuple[int, int]:
         # Mutual dominance is exactly equal weight and equal utility.
         return (y.weight, y.utility)
+
+    def pareto_key(self, y: KnapsackDescriptor) -> tuple[int, int, int]:
+        # Lighter and at least as useful, with utility negated to minimise.
+        return (y.level, y.weight, -y.utility)

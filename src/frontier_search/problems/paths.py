@@ -115,3 +115,7 @@ class SinglePairShortestPath(ProblemTheory):
         # Same end node (the dominance key) and equal cost is exactly mutual
         # dominance.
         return y.cost
+
+    def pareto_key(self, y: PathDescriptor) -> tuple[int, int, int]:
+        # ``dominates`` compares cost alone within one end node.
+        return (y.end, 0, y.cost)

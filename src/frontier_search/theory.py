@@ -96,6 +96,15 @@ class ProblemTheory(ABC):
     #: the engine fall back to pairwise mutual-dominance tests.
     equivalence_key: Optional[Callable[[Any], Hashable]] = None
 
+    #: Optional map from descriptor to ``(group, a, b)`` such that, for two
+    #: same-level descriptors, ``dominates(y, o)`` holds exactly when both
+    #: have the same group, ``a(y) <= a(o)`` and ``b(y) <= b(o)``: dominance
+    #: is a 2-D order with both coordinates minimised, so negate one to
+    #: maximise it.  Keys must be mutually orderable.  The engine then
+    #: filters dominated members with one sort and sweep instead of pairwise
+    #: ``dominates`` tests.  ``None`` keeps the pairwise filter.
+    pareto_key: Optional[Callable[[Any], tuple]] = None
+
     # -- space structure ---------------------------------------------------
 
     @abstractmethod

@@ -130,6 +130,31 @@ def test_gen_command_byte_identical(capsys):
     parse_graph(out1)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--density", "1.7"),
+    ("--density", "-0.5"),
+    ("--density", "nan"),
+    ("--items", "-1"),
+])
+@pytest.mark.parametrize("problem", ["spsp", "knapsack"])
+def test_gen_rejects_out_of_range_arguments(capsys, problem, flag, value):
+    code, out, err = run_main(
+        capsys, ["gen", "--problem", problem, "--seed", "1", flag, value]
+    )
+    assert code == 2 and out == ""
+    assert flag in err and value in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--density", "0"), ("--density", "1"), ("--items", "0"),
+])
+def test_gen_accepts_range_boundaries(capsys, flag, value):
+    code, out, _ = run_main(
+        capsys, ["gen", "--problem", "knapsack", "--seed", "1", flag, value]
+    )
+    assert code == 0 and out
+
+
 def test_solve_text_report(tmp_path, capsys):
     path = write(tmp_path, "tri.graph", TRIANGLE_TEXT)
     code, out, _ = run_main(

@@ -10,6 +10,7 @@ from frontier_search import (
     Mode,
     solve,
 )
+from frontier_search.cli import gen_knapsack
 from frontier_search.engine import (
     check_greedy,
     collect_locals,
@@ -156,6 +157,31 @@ def test_filter_incomparable_set_unchanged():
     assert survivors == [out, inn] and pruned == 0
 
 
+def test_filter_sweep_matches_pairwise_on_knapsack_levels():
+    th = Knapsack(gen_knapsack(14, None, 9, 9, 5))
+    pairwise = Knapsack(th.instance)
+    pairwise.pareto_key = None  # force the generic pairwise path
+    frontier = [th.initial()]
+    while frontier:
+        children, _ = dedupe(expand(th, frontier))
+        children.sort(key=lambda y: y.serial)
+        reps, _ = reduce_equivalent(th, children)
+        swept = filter_dominated(th, reps)
+        assert swept == filter_dominated(pairwise, reps)
+        frontier = swept[0]
+
+
+def test_filter_sweep_keeps_input_order_across_groups():
+    g = Graph(4, ((0, 1, 1), (0, 2, 5), (1, 2, 1), (1, 3, 1), (2, 3, 9)))
+    th = SinglePairShortestPath(g, 0, 3)
+    root = th.initial()
+    cheap_3 = th.apply_move(th.apply_move(root, 0), 3)  # 0-1-3, cost 2
+    dear_3 = th.apply_move(th.apply_move(root, 1), 4)  # 0-2-3, cost 14
+    to_2 = th.apply_move(th.apply_move(root, 0), 2)  # 0-1-2, cost 2
+    survivors, pruned = filter_dominated(th, [cheap_3, dear_3, to_2])
+    assert survivors == [cheap_3, to_2] and pruned == 1
+
+
 def test_filter_mst_children_single_survivor(weighted_triangle):
     th = PrimSpanningTree(weighted_triangle, 0)
     children = th.split(th.initial())
@@ -296,13 +322,34 @@ def test_depth_bound_exhaustion_returns_empty():
     assert_stats_ledger(result.stats)
 
 
-def test_stats_rows_optional():
-    quiet = solve(knapsack3(), EngineConfig(collect_per_level_stats=False))
-    full = solve(knapsack3())
-    assert quiet.stats.per_level_width == ()
-    assert quiet.stats.levels == full.stats.levels
-    assert quiet.stats.generated == full.stats.generated
-    assert quiet.optimal_cost == full.optimal_cost
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("policy", list(GreedyFallback))
+@pytest.mark.parametrize("depth_bound", [None, 0, 1, 3])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stats_identity_holds_under_every_config(
+    mode, policy, depth_bound, threads, diamond, weighted_triangle
+):
+    config = EngineConfig(
+        mode=mode, greedy_violation=policy, depth_bound=depth_bound, threads=threads
+    )
+    theories = [
+        Knapsack(gen_knapsack(12, None, 100, 100, 3)),
+        SinglePairShortestPath(diamond, 0, 3),
+        ShortestPathTree(weighted_triangle, 0),
+        PrimSpanningTree(weighted_triangle, 0),
+        KruskalSpanningTree(weighted_triangle),
+    ]
+    solved = 0
+    for th in theories:
+        try:
+            result = solve(th, config)
+        except GreedyViolation:
+            assert mode is Mode.GREEDY and policy is GreedyFallback.FAIL
+            continue
+        assert_stats_ledger(result.stats)
+        assert len(result.stats.per_level_width) == result.stats.levels
+        solved += 1
+    assert solved >= 3
 
 
 def test_depth_bound_default_comes_from_theory():

@@ -3,6 +3,8 @@ import pytest
 from conftest import assert_stats_ledger
 
 from frontier_search import solve
+from frontier_search.cli import gen_knapsack
+from frontier_search.oracles import knapsack_dp_ref
 from frontier_search.problems import Knapsack, KnapsackInstance
 
 
@@ -119,3 +121,15 @@ def test_invalid_instances_rejected():
         KnapsackInstance(-1, ())
     with pytest.raises(ValueError):
         KnapsackInstance(3, ((-1, 2),))
+
+
+@pytest.mark.parametrize("items", [40, 60, 100])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solve_matches_dp_at_scale(items, seed):
+    inst = gen_knapsack(items, None, 100, 100, seed)
+    th = Knapsack(inst)
+    result = solve(th)
+    assert_stats_ledger(result.stats)
+    assert result.optimal_cost == knapsack_dp_ref(inst)
+    for z in result.optima:
+        assert th.feasible(z) and th.cost(z) == result.optimal_cost
