@@ -10,8 +10,6 @@ child per level run as greedy algorithms.
 
 from .engine import (
     EngineConfig,
-    Frontier,
-    GreedyFallback,
     GreedyViolation,
     Mode,
     SearchStats,
@@ -28,8 +26,6 @@ from .theory import (
 
 __all__ = [
     "EngineConfig",
-    "Frontier",
-    "GreedyFallback",
     "GreedyViolation",
     "Mode",
     "SearchStats",

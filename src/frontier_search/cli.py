@@ -23,7 +23,6 @@ from typing import Any, Optional
 from . import oracles
 from .engine import (
     EngineConfig,
-    GreedyFallback,
     GreedyViolation,
     Mode,
     SearchStats,
@@ -298,17 +297,8 @@ def _instance_summary(problem: str, instance) -> dict[str, int]:
 def run_solve(args, with_oracle: bool) -> RunReport:
     instance = _load_instance(args)
     theory = build_theory(args.problem, instance, args.source, args.target)
-    config = EngineConfig(
-        mode=Mode(args.mode),
-        greedy_violation=(
-            GreedyFallback.FALLBACK_EXHAUSTIVE
-            if args.greedy_fallback
-            else GreedyFallback.FAIL
-        ),
-        threads=args.threads,
-    )
     start = time.perf_counter()
-    result = solve(theory, config)
+    result = solve(theory, EngineConfig(mode=Mode(args.mode)))
     ms = (time.perf_counter() - start) * 1000
     report = RunReport(
         problem=args.problem,
@@ -337,13 +327,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode", choices=[m.value for m in Mode], default=Mode.EXHAUSTIVE.value
     )
-    parser.add_argument(
-        "--greedy-fallback",
-        action="store_true",
-        help="fall back to the full frontier instead of failing on a greedy violation",
-    )
     parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -381,8 +365,13 @@ def run(argv: Optional[list[str]] = None) -> int:
     if args.command == "gen":
         if not 0.0 <= args.density <= 1.0:
             raise ValueError(f"--density must be within [0, 1], got {args.density}")
-        if args.items < 0:
-            raise ValueError(f"--items must be non-negative, got {args.items}")
+        for flag, value in (
+            ("--items", args.items),
+            ("--max-weight", args.max_weight),
+            ("--max-utility", args.max_utility),
+        ):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
         if args.problem == "knapsack":
             text = render_knapsack(
                 gen_knapsack(

@@ -23,7 +23,6 @@ statistics, is identical to the generic pipeline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional
@@ -34,13 +33,6 @@ from .theory import Direction, ProblemTheory, Solution
 class Mode(Enum):
     EXHAUSTIVE = "exhaustive"
     GREEDY = "greedy"
-
-
-class GreedyFallback(Enum):
-    #: Raise GreedyViolation when a greedy-mode frontier is wider than 1.
-    FAIL = "fail"
-    #: Keep searching with the full undominated frontier instead.
-    FALLBACK_EXHAUSTIVE = "fallback-exhaustive"
 
 
 class GreedyViolation(RuntimeError):
@@ -55,24 +47,8 @@ class GreedyViolation(RuntimeError):
 @dataclass(frozen=True)
 class EngineConfig:
     mode: Mode = Mode.EXHAUSTIVE
-    greedy_violation: GreedyFallback = GreedyFallback.FAIL
     #: Maximum split depth; defaults to the theory's own bound.
     depth_bound: Optional[int] = None
-    #: Worker threads used to split frontier members in parallel.  Outputs
-    #: are identical for any value; 1 keeps everything on the calling thread.
-    threads: int = 1
-
-
-@dataclass(frozen=True)
-class Frontier:
-    """One level's undominated spaces, canonically ordered and duplicate-free."""
-
-    level: int
-    spaces: tuple[Any, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.spaces)
 
 
 @dataclass(frozen=True)
@@ -112,17 +88,11 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def expand(theory: ProblemTheory, spaces: Iterable[Any], threads: int = 1) -> list[Any]:
+def expand(theory: ProblemTheory, spaces: Iterable[Any]) -> list[Any]:
     """All children of the frontier, concatenated in canonical member order."""
-    spaces = list(spaces)
-    if threads > 1 and len(spaces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(theory.split, spaces))
-    else:
-        batches = [theory.split(y) for y in spaces]
     children: list[Any] = []
-    for batch in batches:
-        children.extend(batch)
+    for y in spaces:
+        children.extend(theory.split(y))
     return children
 
 
@@ -240,11 +210,6 @@ def opt_c(
     return best_cost, frozenset(best)
 
 
-def check_greedy(spaces: list[Any]) -> Optional[int]:
-    """None when the frontier qualifies as a greedy step, else its width."""
-    return None if len(spaces) <= 1 else len(spaces)
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -267,9 +232,9 @@ def _greedy_step(theory: ProblemTheory, parent: Any) -> tuple[Optional[Any], int
 def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveResult:
     """Run the search to completion and return all optima found with stats.
 
-    Deterministic for fixed inputs.  Raises GreedyViolation in greedy mode
-    (with the fail policy) as soon as an undominated frontier is wider than
-    one; an exhausted depth bound is not an error and yields empty optima.
+    Deterministic for fixed inputs.  Raises GreedyViolation in greedy mode as
+    soon as an undominated frontier is wider than one; an exhausted depth
+    bound is not an error and yields empty optima.
     """
     config = config or EngineConfig()
     depth_bound = (
@@ -278,15 +243,15 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
 
     generated = duplicates = merged = pruned = 0
     rows: list[tuple[int, int]] = []
-    levels = 0
+    level = 0
 
-    frontier = Frontier(0, (theory.initial(),))
-    found = collect_locals(theory, frontier.spaces)
+    frontier = [theory.initial()]
+    found = collect_locals(theory, frontier)
 
-    while frontier.spaces and frontier.level < depth_bound:
-        levels += 1
-        if theory.strictly_ranked and frontier.width == 1:
-            child, n_moves = _greedy_step(theory, frontier.spaces[0])
+    while frontier and level < depth_bound:
+        level += 1
+        if theory.strictly_ranked and len(frontier) == 1:
+            child, n_moves = _greedy_step(theory, frontier[0])
             generated += n_moves
             if child is None:
                 survivors: list[Any] = []
@@ -295,7 +260,7 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
                 pruned += n_moves - 1
             raw = n_moves
         else:
-            children = expand(theory, frontier.spaces, config.threads)
+            children = expand(theory, frontier)
             raw = len(children)
             generated += raw
             children, n_dup = dedupe(children)
@@ -308,18 +273,16 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
             survivors, n_pruned = filter_dominated(theory, reps)
             pruned += n_pruned
 
-        if config.mode is Mode.GREEDY:
-            width = check_greedy(survivors)
-            if width is not None and config.greedy_violation is GreedyFallback.FAIL:
-                raise GreedyViolation(frontier.level + 1, width)
+        if config.mode is Mode.GREEDY and len(survivors) > 1:
+            raise GreedyViolation(level, len(survivors))
 
         rows.append((raw, len(survivors)))
-        frontier = Frontier(frontier.level + 1, tuple(survivors))
-        found.extend(collect_locals(theory, frontier.spaces))
+        frontier = survivors
+        found.extend(collect_locals(theory, frontier))
 
     best_cost, best = opt_c(found, theory.direction)
     stats = SearchStats(
-        levels=levels,
+        levels=level,
         generated=generated,
         duplicates_removed=duplicates,
         equivalence_merged=merged,

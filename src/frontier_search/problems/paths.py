@@ -5,10 +5,17 @@ node; a solution is extractable as soon as the path's end node is the
 target.  Paths ending at the same node are compared by accumulated weight:
 the cheaper one dominates, which keeps the frontier no wider than the node
 count.  The relation deliberately ignores which interior nodes the paths
-visited; that is safe in this engine because frontiers are level-synchronized
-(equal edge counts), but it is stronger than what same-extension transfer
-justifies, so ``semi_congruent`` additionally demands that the dominating
-path's visited set is contained in the other's.
+visited.  That is stronger than what same-extension transfer justifies, so
+``semi_congruent`` additionally demands that the dominating path's visited
+set is contained in the other's.
+
+The stronger relation is still sound, given non-negative weights.  Take an
+optimal path P* with the fewest edges, and a same-level path y that ends at
+P*'s k-th node and costs no more than P*'s first k edges.  Then y followed by
+the rest of P* is a simple path: otherwise it revisits a node, and cutting
+out the cycle (of weight >= 0) leaves a path that costs no more than P* and
+has fewer edges.  So y is the prefix of another optimal path with the fewest
+edges, and by induction over the levels one such path reaches the target.
 """
 
 from __future__ import annotations

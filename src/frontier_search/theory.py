@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Any, Callable, Hashable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Hashable, Optional
 
 
 class Direction(Enum):
@@ -56,16 +56,6 @@ class DominanceVerdict(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@runtime_checkable
-class SpaceDescriptor(Protocol):
-    """Structural type of the engine's search-space descriptors."""
-
-    serial: tuple[int, ...]
-
-    @property
-    def level(self) -> int: ...
-
-
 # A move is the problem-specific piece of information consumed by one split:
 # an edge index for the graph problems, a 0/1 decision for knapsack.
 Move = Hashable
@@ -76,9 +66,8 @@ class ProblemTheory(ABC):
     """Operations instantiating the search theory for one problem instance.
 
     All methods are pure functions of their arguments; theories and
-    descriptors are immutable after construction and safe to share across
-    threads.  The problem input itself is bound at construction time and
-    validated there.
+    descriptors are immutable after construction.  The problem input itself
+    is bound at construction time and validated there.
     """
 
     #: Optimization sense used by the engine when comparing solution costs

@@ -135,6 +135,8 @@ def test_gen_command_byte_identical(capsys):
     ("--density", "-0.5"),
     ("--density", "nan"),
     ("--items", "-1"),
+    ("--max-weight", "-1"),
+    ("--max-utility", "-1"),
 ])
 @pytest.mark.parametrize("problem", ["spsp", "knapsack"])
 def test_gen_rejects_out_of_range_arguments(capsys, problem, flag, value):
@@ -147,6 +149,7 @@ def test_gen_rejects_out_of_range_arguments(capsys, problem, flag, value):
 
 @pytest.mark.parametrize("flag, value", [
     ("--density", "0"), ("--density", "1"), ("--items", "0"),
+    ("--max-weight", "0"), ("--max-utility", "0"),
 ])
 def test_gen_accepts_range_boundaries(capsys, flag, value):
     code, out, _ = run_main(
@@ -239,12 +242,12 @@ def test_greedy_violation_exit_code(tmp_path, capsys):
     assert code == 3 and "greedy violation" in err
 
 
-def test_greedy_fallback_flag_recovers(tmp_path, capsys):
+def test_exhaustive_mode_recovers_from_greedy_violation(tmp_path, capsys):
     path = write(tmp_path, "d.graph", "4 4\n0 1 1\n0 2 1\n1 3 1\n2 3 1\n")
     code, out, _ = run_main(
         capsys,
         ["solve", "--problem", "spsp", "--input", path, "--target", "3",
-         "--mode", "greedy", "--greedy-fallback"],
+         "--mode", "exhaustive"],
     )
     assert code == 0 and "optimal cost: 2" in out
 
@@ -272,14 +275,6 @@ def test_stats_command_rows(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "level raw undominated"
     assert lines[1].split() == ["1", "2", "1"]
-
-
-def test_threads_flag_output_identical(tmp_path, capsys):
-    path = write(tmp_path, "tri.graph", TRIANGLE_TEXT)
-    base = ["solve", "--problem", "spsp", "--input", path, "--target", "2", "--json"]
-    _, out1, _ = run_main(capsys, base)
-    _, out2, _ = run_main(capsys, base + ["--threads", "4"])
-    assert out1 == out2
 
 
 def test_compare_harness_100_seeds_per_problem(tmp_path, capsys):

@@ -4,7 +4,6 @@ from conftest import assert_stats_ledger
 
 from frontier_search import (
     EngineConfig,
-    GreedyFallback,
     GreedyViolation,
     IdentityDominance,
     Mode,
@@ -12,7 +11,6 @@ from frontier_search import (
 )
 from frontier_search.cli import gen_knapsack
 from frontier_search.engine import (
-    check_greedy,
     collect_locals,
     dedupe,
     expand,
@@ -56,14 +54,6 @@ def test_expand_binary_split_width_two():
     assert len(level1) == 2
     children = expand(th, level1)
     assert len(children) == 4
-
-
-def test_expand_threaded_matches_sequential():
-    th = knapsack3()
-    level1 = th.split(th.initial())
-    assert [c.serial for c in expand(th, level1, threads=3)] == [
-        c.serial for c in expand(th, level1)
-    ]
 
 
 # -- dedupe -----------------------------------------------------------------
@@ -190,7 +180,7 @@ def test_filter_mst_children_single_survivor(weighted_triangle):
     assert survivors[0].serial == (0,)  # the weight-1 edge
 
 
-# -- collect_locals / opt_c / check_greedy ------------------------------------
+# -- collect_locals / opt_c ------------------------------------------------
 
 
 def test_collect_locals_incomplete_forests_empty(weighted_triangle):
@@ -235,12 +225,6 @@ def test_opt_c_maximize():
     assert cost == 5 and best == {"z2"}
 
 
-def test_check_greedy():
-    assert check_greedy(["one"]) is None
-    assert check_greedy([]) is None
-    assert check_greedy(["a", "b"]) == 2
-
-
 class StrictCostPrim(PrimSpanningTree):
     """Cut growth with strictly-cheaper dominance only: ties stay unresolved."""
 
@@ -268,14 +252,9 @@ def test_greedy_violation_on_equal_minimum_cut_edges():
     assert exc.value.width == 2 and exc.value.level == 1
 
 
-def test_greedy_fallback_continues_exhaustively():
+def test_exhaustive_mode_solves_past_greedy_violation():
     th = StrictCostPrim(equal_min_star(), 0)
-    result = solve(
-        th,
-        EngineConfig(
-            mode=Mode.GREEDY, greedy_violation=GreedyFallback.FALLBACK_EXHAUSTIVE
-        ),
-    )
+    result = solve(th, EngineConfig(mode=Mode.EXHAUSTIVE))
     assert result.optimal_cost == 2
     assert_stats_ledger(result.stats)
 
@@ -322,34 +301,35 @@ def test_depth_bound_exhaustion_returns_empty():
     assert_stats_ledger(result.stats)
 
 
+# Theory builders for the config sweep, and whether each solves greedily.
+CONFIG_SWEEP_THEORIES = {
+    "knapsack": (lambda g4, g3: Knapsack(gen_knapsack(12, None, 100, 100, 3)), False),
+    "spsp": (lambda g4, g3: SinglePairShortestPath(g4, 0, 3), False),
+    "sssp": (lambda g4, g3: ShortestPathTree(g3, 0), True),
+    "prim": (lambda g4, g3: PrimSpanningTree(g3, 0), True),
+    "kruskal": (lambda g4, g3: KruskalSpanningTree(g3), True),
+}
+
+
 @pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("policy", list(GreedyFallback))
 @pytest.mark.parametrize("depth_bound", [None, 0, 1, 3])
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("problem", list(CONFIG_SWEEP_THEORIES))
 def test_stats_identity_holds_under_every_config(
-    mode, policy, depth_bound, threads, diamond, weighted_triangle
+    mode, depth_bound, problem, diamond, weighted_triangle
 ):
-    config = EngineConfig(
-        mode=mode, greedy_violation=policy, depth_bound=depth_bound, threads=threads
-    )
-    theories = [
-        Knapsack(gen_knapsack(12, None, 100, 100, 3)),
-        SinglePairShortestPath(diamond, 0, 3),
-        ShortestPathTree(weighted_triangle, 0),
-        PrimSpanningTree(weighted_triangle, 0),
-        KruskalSpanningTree(weighted_triangle),
-    ]
-    solved = 0
-    for th in theories:
-        try:
-            result = solve(th, config)
-        except GreedyViolation:
-            assert mode is Mode.GREEDY and policy is GreedyFallback.FAIL
-            continue
-        assert_stats_ledger(result.stats)
-        assert len(result.stats.per_level_width) == result.stats.levels
-        solved += 1
-    assert solved >= 3
+    build, greedy_solvable = CONFIG_SWEEP_THEORIES[problem]
+    th = build(diamond, weighted_triangle)
+    config = EngineConfig(mode=mode, depth_bound=depth_bound)
+    # Both non-greedy instances keep two spaces at level 1.
+    raises = mode is Mode.GREEDY and not greedy_solvable and depth_bound != 0
+    if raises:
+        with pytest.raises(GreedyViolation) as exc:
+            solve(th, config)
+        assert exc.value.level == 1 and exc.value.width == 2
+        return
+    result = solve(th, config)
+    assert_stats_ledger(result.stats)
+    assert len(result.stats.per_level_width) == result.stats.levels
 
 
 def test_depth_bound_default_comes_from_theory():
@@ -361,11 +341,6 @@ def test_depth_bound_default_comes_from_theory():
 def test_determinism(diamond):
     th = SinglePairShortestPath(diamond, 0, 3)
     assert solve(th) == solve(th)
-
-
-def test_threads_do_not_change_result(diamond):
-    th = SinglePairShortestPath(diamond, 0, 3)
-    assert solve(th, EngineConfig(threads=4)) == solve(th)
 
 
 def test_stats_identity_holds_across_problems(triangle, diamond, weighted_triangle):

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_stats_ledger
 
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
+from frontier_search.oracles import brute_force
 from frontier_search.problems import Graph, SinglePairShortestPath
 from frontier_search.problems.graphs import InvalidNode
 
@@ -146,3 +149,34 @@ def test_greedy_mode_fails_on_wide_frontier(diamond):
     th = theory(diamond, 0, 3)
     with pytest.raises(GreedyViolation):
         solve(th, EngineConfig(mode=Mode.GREEDY))
+
+
+def test_greedy_mode_does_not_raise_when_the_frontier_empties():
+    # The parallel edge makes m = 3; the third level has no children.
+    g = Graph(3, ((0, 1, 1), (0, 1, 3), (1, 2, 1)))
+    result = solve(theory(g, 0, 2), EngineConfig(mode=Mode.GREEDY))
+    assert result.optimal_cost == 2 and result.optima == {(0, 2)}
+    assert result.stats.per_level_width == ((2, 1), (1, 1), (0, 0))
+
+
+@st.composite
+def multigraphs(draw):
+    """Small graphs crowded with parallel and zero-weight edges."""
+    n = draw(st.integers(2, 5))
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node, st.sampled_from((0, 0, 0, 1, 2, 5)))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]), max_size=10))
+    return Graph(n, tuple(edges))
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_brute_force_on_multigraphs(g, data):
+    th = theory(g, 0, data.draw(st.integers(0, g.n - 1)))
+    result = solve(th)
+    expected = brute_force(th).optimal_cost
+    assert result.optimal_cost == expected
+    assert bool(result.optima) == (expected is not None)
+    for z in result.optima:
+        assert th.feasible(z) and th.cost(z) == expected
+    assert_stats_ledger(result.stats)
