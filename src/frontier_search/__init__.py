@@ -18,10 +18,8 @@ from .engine import (
 )
 from .theory import (
     Direction,
-    DominanceVerdict,
     IdentityDominance,
     ProblemTheory,
-    dominance_verdict,
 )
 
 __all__ = [
@@ -32,10 +30,8 @@ __all__ = [
     "SolveResult",
     "solve",
     "Direction",
-    "DominanceVerdict",
     "IdentityDominance",
     "ProblemTheory",
-    "dominance_verdict",
 ]
 
 __version__ = "0.1.0"

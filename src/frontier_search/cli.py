@@ -327,7 +327,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode", choices=[m.value for m in Mode], default=Mode.EXHAUSTIVE.value
     )
-    parser.add_argument("--json", action="store_true", dest="as_json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,15 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the engine and print a report")
-    _add_run_flags(p_solve)
     p_solve.add_argument(
         "--compare", action="store_true", help="also run the reference oracle"
     )
-
     p_cmp = sub.add_parser(
         "compare", help="run engine and oracle; exit 1 on disagreement"
     )
-    _add_run_flags(p_cmp)
+    for p in (p_solve, p_cmp):
+        _add_run_flags(p)
+        p.add_argument("--json", action="store_true", dest="as_json")
 
     p_gen = sub.add_parser("gen", help="emit a random instance")
     p_gen.add_argument("--problem", required=True, choices=PROBLEMS)

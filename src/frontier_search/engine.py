@@ -10,10 +10,13 @@ initial one) and the cost-extremal filter is applied to all of them once at
 the end.  The search stops when the frontier empties or the depth bound is
 reached.
 
-When a theory gives a ``pareto_key``, dominance within a group is a 2-D
-order, and ``filter_dominated`` finds the undominated members with one sort
-and a sweep (the Pareto-list method of Nemhauser and Ullmann, and of Kung,
-Luccio and Preparata) instead of testing every pair of members.
+When a theory gives an ``equivalence_key``, dominance within a group is a
+2-D order: ``reduce_equivalent`` merges members with equal keys, and
+``filter_dominated`` finds the undominated members with one sort and a sweep
+(the Pareto-list method of Nemhauser and Ullmann, and of Kung, Luccio and
+Preparata).  Without one, both stages test pairs of members with
+``dominates`` within each ``dominance_key`` group; that pairwise path is also
+the reference the keyed one is tested against.
 
 When a theory declares ``strictly_ranked`` and the frontier is a singleton,
 the pipeline collapses to picking the single cheapest child (canonical order
@@ -121,7 +124,7 @@ def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[An
     if theory.equivalence_key is not None:
         seen_keys: set = set()
         for y in spaces:
-            k = (theory.dominance_key(y), theory.equivalence_key(y))
+            k = theory.equivalence_key(y)
             if k in seen_keys:
                 merged += 1
             else:
@@ -149,8 +152,8 @@ def filter_dominated(theory: ProblemTheory, reps: list[Any]) -> tuple[list[Any],
     ``reps`` must be free of mutual dominances, which makes survival
     order-independent.  Survivors keep their input order.
     """
-    if theory.pareto_key is not None:
-        return _pareto_sweep(theory.pareto_key, reps)
+    if theory.equivalence_key is not None:
+        return _pareto_sweep(theory.equivalence_key, reps)
     groups: dict = {}
     for y in reps:
         groups.setdefault(theory.dominance_key(y), []).append(y)
@@ -166,11 +169,11 @@ def filter_dominated(theory: ProblemTheory, reps: list[Any]) -> tuple[list[Any],
 
 
 def _pareto_sweep(key: Callable[[Any], tuple], reps: list[Any]) -> tuple[list[Any], int]:
-    """``filter_dominated`` for dominance given as a ``pareto_key`` order.
+    """``filter_dominated`` for dominance given as an ``equivalence_key`` order.
 
     In ``(group, a, b)`` order a member is dominated exactly when an earlier
-    member of its group has a ``b`` no greater.  Without mutual dominances no
-    two members of a group share ``(a, b)``, so the strict test is exact.
+    member of its group has a ``b`` no greater.  ``reduce_equivalent`` has
+    already merged equal keys, so the strict test is exact.
     """
     keys = [key(y) for y in reps]
     keep = [False] * len(reps)

@@ -102,10 +102,7 @@ class Knapsack(ProblemTheory):
     def dominance_key(self, y: KnapsackDescriptor) -> int:
         return y.level
 
-    def equivalence_key(self, y: KnapsackDescriptor) -> tuple[int, int]:
-        # Mutual dominance is exactly equal weight and equal utility.
-        return (y.weight, y.utility)
-
-    def pareto_key(self, y: KnapsackDescriptor) -> tuple[int, int, int]:
-        # Lighter and at least as useful, with utility negated to minimise.
+    def equivalence_key(self, y: KnapsackDescriptor) -> tuple[int, int, int]:
+        # Lighter and at least as useful, with utility negated to minimise;
+        # equal keys (equal weight and utility) are mutual dominance.
         return (y.level, y.weight, -y.utility)

@@ -118,11 +118,7 @@ class SinglePairShortestPath(ProblemTheory):
     def dominance_key(self, y: PathDescriptor) -> int:
         return y.end
 
-    def equivalence_key(self, y: PathDescriptor) -> int:
-        # Same end node (the dominance key) and equal cost is exactly mutual
-        # dominance.
-        return y.cost
-
-    def pareto_key(self, y: PathDescriptor) -> tuple[int, int, int]:
-        # ``dominates`` compares cost alone within one end node.
+    def equivalence_key(self, y: PathDescriptor) -> tuple[int, int, int]:
+        # ``dominates`` compares cost alone within one end node, so equal
+        # end and cost is exactly mutual dominance.
         return (y.end, 0, y.cost)

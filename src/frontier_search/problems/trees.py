@@ -192,10 +192,6 @@ class _TreeGrowthTheory(ProblemTheory):
             return False
         return (y.cost, y.serial) <= (other.cost, other.serial)
 
-    def equivalence_key(self, y: TreeDescriptor):
-        # Mutual dominance would force equal (cost, serial), i.e. identity.
-        return y.serial
-
 
 class PrimSpanningTree(_TreeGrowthTheory):
     """Minimum spanning tree grown from a root node along cut edges."""
@@ -319,6 +315,3 @@ class KruskalSpanningTree(ProblemTheory):
         # Any sub-forest is a reachable descriptor, so single-edge symmetric
         # difference already makes them siblings.
         return (y.cost, y.serial) <= (other.cost, other.serial)
-
-    def equivalence_key(self, y: ForestDescriptor):
-        return y.serial

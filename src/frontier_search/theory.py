@@ -43,19 +43,6 @@ class Direction(Enum):
         return a <= b if self is Direction.MINIMIZE else a >= b
 
 
-class DominanceVerdict(Enum):
-    """Outcome of testing dominance between two descriptors in both directions.
-
-    ``LEFT_DOMINATES``/``RIGHT_DOMINATES`` are one-sided; ``MUTUAL`` holds iff
-    the pairwise test succeeds in both directions.
-    """
-
-    LEFT_DOMINATES = "left"
-    RIGHT_DOMINATES = "right"
-    MUTUAL = "mutual"
-    INCOMPARABLE = "incomparable"
-
-
 # A move is the problem-specific piece of information consumed by one split:
 # an edge index for the graph problems, a 0/1 decision for knapsack.
 Move = Hashable
@@ -80,19 +67,15 @@ class ProblemTheory(ABC):
     #: without materializing the others.
     strictly_ranked: bool = False
 
-    #: Optional map from descriptor to a hashable key such that two same-level
-    #: descriptors mutually dominate iff their keys are equal.  ``None`` makes
-    #: the engine fall back to pairwise mutual-dominance tests.
-    equivalence_key: Optional[Callable[[Any], Hashable]] = None
-
     #: Optional map from descriptor to ``(group, a, b)`` such that, for two
     #: same-level descriptors, ``dominates(y, o)`` holds exactly when both
     #: have the same group, ``a(y) <= a(o)`` and ``b(y) <= b(o)``: dominance
     #: is a 2-D order with both coordinates minimised, so negate one to
-    #: maximise it.  Keys must be mutually orderable.  The engine then
-    #: filters dominated members with one sort and sweep instead of pairwise
-    #: ``dominates`` tests.  ``None`` keeps the pairwise filter.
-    pareto_key: Optional[Callable[[Any], tuple]] = None
+    #: maximise it.  Equal keys are then exactly mutual dominance.  Keys must
+    #: be hashable and mutually orderable.  The engine merges equal keys and
+    #: filters dominated members with one sort and sweep; ``None`` makes both
+    #: stages fall back to pairwise ``dominates`` tests.
+    equivalence_key: Optional[Callable[[Any], tuple]] = None
 
     # -- space structure ---------------------------------------------------
 
@@ -176,19 +159,6 @@ class ProblemTheory(ABC):
         Default: a single group.
         """
         return None
-
-
-def dominance_verdict(theory: ProblemTheory, left: Any, right: Any) -> DominanceVerdict:
-    """Classify a pair of descriptors under the theory's dominance relation."""
-    lr = theory.dominates(left, right)
-    rl = theory.dominates(right, left)
-    if lr and rl:
-        return DominanceVerdict.MUTUAL
-    if lr:
-        return DominanceVerdict.LEFT_DOMINATES
-    if rl:
-        return DominanceVerdict.RIGHT_DOMINATES
-    return DominanceVerdict.INCOMPARABLE
 
 
 class IdentityDominance(ProblemTheory):

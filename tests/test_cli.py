@@ -277,6 +277,15 @@ def test_stats_command_rows(tmp_path, capsys):
     assert lines[1].split() == ["1", "2", "1"]
 
 
+def test_stats_rejects_json_flag(tmp_path, capsys):
+    # ``stats`` has only a text form, so ``--json`` is a usage error.
+    path = write(tmp_path, "tri.graph", TRIANGLE_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--problem", "mst-prim", "--input", path, "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_compare_harness_100_seeds_per_problem(tmp_path, capsys):
     import random
 

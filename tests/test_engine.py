@@ -150,12 +150,14 @@ def test_filter_incomparable_set_unchanged():
 def test_filter_sweep_matches_pairwise_on_knapsack_levels():
     th = Knapsack(gen_knapsack(14, None, 9, 9, 5))
     pairwise = Knapsack(th.instance)
-    pairwise.pareto_key = None  # force the generic pairwise path
+    pairwise.equivalence_key = None  # force the generic pairwise path
     frontier = [th.initial()]
     while frontier:
         children, _ = dedupe(expand(th, frontier))
         children.sort(key=lambda y: y.serial)
-        reps, _ = reduce_equivalent(th, children)
+        reduced = reduce_equivalent(th, children)
+        assert reduced == reduce_equivalent(pairwise, children)
+        reps = reduced[0]
         swept = filter_dominated(th, reps)
         assert swept == filter_dominated(pairwise, reps)
         frontier = swept[0]

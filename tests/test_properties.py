@@ -424,25 +424,29 @@ def test_knapsack_engine_matches_subset_enumeration(seed):
     assert result.optimal_cost == best
 
 
-def pareto_order(theory, y, other):
-    """Whether ``y``'s key shares ``other``'s group and is no greater in ``a`` and ``b``."""
-    (gy, ay, by), (go, ao, bo) = theory.pareto_key(y), theory.pareto_key(other)
-    return gy == go and ay <= ao and by <= bo
+def assert_key_matches_dominates(theory, y, other):
+    """``y`` dominates ``other`` iff its key shares the group and is no greater
+    in ``a`` and ``b``; the keys are equal iff each dominates the other."""
+    ky, ko = theory.equivalence_key(y), theory.equivalence_key(other)
+    (gy, ay, by), (go, ao, bo) = ky, ko
+    assert theory.dominates(y, other) == (gy == go and ay <= ao and by <= bo)
+    mutual = theory.dominates(y, other) and theory.dominates(other, y)
+    assert (ky == ko) == mutual
 
 
 @given(st.integers(0, 2**30), st.data())
 @settings(max_examples=150, deadline=None)
-def test_knapsack_pareto_key_order_equals_dominates(seed, data):
+def test_knapsack_equivalence_key_order_equals_dominates(seed, data):
     rng = random.Random(seed)
     theory = Knapsack(gen_knapsack(rng.randint(1, 6), None, 4, 4, seed))
     layer = data.draw(st.sampled_from(enumerate_levels(theory)[1:]))
     y, other = data.draw(st.sampled_from(layer)), data.draw(st.sampled_from(layer))
-    assert theory.dominates(y, other) == pareto_order(theory, y, other)
+    assert_key_matches_dominates(theory, y, other)
 
 
 @given(st.integers(0, 2**30), st.data())
 @settings(max_examples=150, deadline=None)
-def test_spsp_pareto_key_order_equals_dominates(seed, data):
+def test_spsp_equivalence_key_order_equals_dominates(seed, data):
     rng = random.Random(seed)
     g = gen_graph(rng.randint(3, 5), rng.uniform(0.5, 1.0), 3, seed)
     theory = SinglePairShortestPath(g, 0, g.n - 1)
@@ -454,20 +458,20 @@ def test_spsp_pareto_key_order_equals_dominates(seed, data):
         if y.end == other.end
     ]
     y, other = data.draw(st.sampled_from(pairs))
-    assert theory.dominates(y, other) == pareto_order(theory, y, other)
+    assert_key_matches_dominates(theory, y, other)
 
 
 class PairwiseKnapsack(Knapsack):
-    pareto_key = None
+    equivalence_key = None
 
 
 class PairwiseSinglePairShortestPath(SinglePairShortestPath):
-    pareto_key = None
+    equivalence_key = None
 
 
 @given(st.integers(0, 2**30))
 @settings(max_examples=40, deadline=None)
-def test_pareto_sweep_solve_equals_pairwise_solve(seed):
+def test_keyed_solve_equals_pairwise_solve(seed):
     rng = random.Random(seed)
     inst = gen_knapsack(rng.randint(0, 20), None, rng.randint(1, 20), 20, seed)
     assert solve(Knapsack(inst)) == solve(PairwiseKnapsack(inst))

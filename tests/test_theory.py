@@ -1,10 +1,4 @@
-from frontier_search import (
-    Direction,
-    DominanceVerdict,
-    IdentityDominance,
-    dominance_verdict,
-    solve,
-)
+from frontier_search import Direction, IdentityDominance, solve
 from frontier_search.problems import Knapsack, KnapsackInstance
 
 
@@ -26,31 +20,6 @@ def test_direction_comparisons():
     assert Direction.MINIMIZE.at_least_as_good(2, 2)
     assert Direction.MAXIMIZE.at_least_as_good(3, 2)
     assert not Direction.MAXIMIZE.at_least_as_good(1, 2)
-
-
-def test_verdict_left_right_and_mutual():
-    th = make_theory()
-    lighter_better = descriptor(th, (1, 0))  # weight 3, utility 5
-    heavier_worse = descriptor(th, (0, 1))  # weight 4, utility 4
-    assert dominance_verdict(th, lighter_better, heavier_worse) is DominanceVerdict.LEFT_DOMINATES
-    assert dominance_verdict(th, heavier_worse, lighter_better) is DominanceVerdict.RIGHT_DOMINATES
-    assert dominance_verdict(th, lighter_better, lighter_better) is DominanceVerdict.MUTUAL
-
-
-def test_verdict_mutual_requires_both_directions():
-    # Distinct selections with equal weight and utility dominate each other.
-    th = Knapsack(KnapsackInstance(10, ((2, 3), (2, 3))))
-    first = descriptor(th, (1, 0))
-    second = descriptor(th, (0, 1))
-    assert th.dominates(first, second) and th.dominates(second, first)
-    assert dominance_verdict(th, first, second) is DominanceVerdict.MUTUAL
-
-
-def test_verdict_incomparable():
-    th = make_theory()
-    light_low = descriptor(th, (0, 1))  # weight 4, utility 4
-    heavy_high = descriptor(th, (1, 1))  # weight 7, utility 9
-    assert dominance_verdict(th, light_low, heavy_high) is DominanceVerdict.INCOMPARABLE
 
 
 def test_default_dominance_is_semi_congruence_plus_cost():
