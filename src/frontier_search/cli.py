@@ -17,7 +17,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 from . import oracles
@@ -199,15 +199,7 @@ class RunReport:
             "mode": self.mode,
             "optimal_cost": self.optimal_cost,
             "witness": self.witness,
-            "stats": {
-                "levels": self.stats.levels,
-                "generated": self.stats.generated,
-                "duplicates_removed": self.stats.duplicates_removed,
-                "equivalence_merged": self.stats.equivalence_merged,
-                "dominated_pruned": self.stats.dominated_pruned,
-                "locals_found": self.stats.locals_found,
-                "per_level_width": [list(row) for row in self.stats.per_level_width],
-            },
+            "stats": asdict(self.stats),
         }
         if self.oracle_ran:
             payload["oracle_cost"] = self.oracle_cost
@@ -334,9 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the engine and print a report")
-    p_solve.add_argument(
-        "--compare", action="store_true", help="also run the reference oracle"
-    )
     p_cmp = sub.add_parser(
         "compare", help="run engine and oracle; exit 1 on disagreement"
     )
@@ -386,7 +375,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if args.command == "solve":
-        report = run_solve(args, with_oracle=args.compare)
+        report = run_solve(args, with_oracle=False)
         _emit(report, args.as_json)
         return 0
 

@@ -1,11 +1,15 @@
 """Tree-growing problems: shortest-path tree and minimum spanning tree.
 
-All three theories here share the same shape: a partial solution is an
+All three theories here derive from one base: a partial solution is an
 acyclic edge set that grows by one edge per level until it spans the graph,
 and the dominance relation is a strict ranking of the children of a common
 parent, so the undominated frontier always has width one (the greedy choice).
 Ranking compares ``(partial_cost, serial)``, which for children of one parent
-is exactly "cheapest added element, smallest edge index on ties":
+is exactly "cheapest added element, smallest edge index on ties".  The
+theories differ only in ``initial``, ``child_moves``, ``apply_move``,
+``semi_congruent``, the shortest-path tree's ``cost`` and ``_reachable``
+(which edge sets are descriptors at all) -- the small systematic changes
+that turn one derivation into another:
 
 * minimum spanning tree, cut variant: grow one tree from a root along its
   lightest crossing edge (Prim's scheme);
@@ -35,14 +39,13 @@ from .graphs import Graph, InvalidNode, adjacency, require_connected
 
 @dataclass(frozen=True, eq=False)
 class TreeDescriptor:
-    """Tree grown from a root, as a set of edge indices.
+    """Tree grown from a root, as its sorted edge indices and node set.
 
     ``dist`` caches root-path costs and is only populated by the
     shortest-path-tree theory.
     """
 
     serial: tuple[int, ...]  # sorted edge indices
-    edges: frozenset[int]
     nodes: frozenset[int]
     cost: int
     dist: Optional[Mapping[int, int]] = None
@@ -54,14 +57,13 @@ class TreeDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class ForestDescriptor:
-    """Spanning forest as a set of edge indices plus its node partition.
+    """Spanning forest as its sorted edge indices plus its node partition.
 
     ``comp[v]`` is the smallest node id in v's component, so equal partitions
     compare equal componentwise.
     """
 
-    serial: tuple[int, ...]
-    edges: frozenset[int]
+    serial: tuple[int, ...]  # sorted edge indices
     comp: tuple[int, ...]
     cost: int
 
@@ -117,17 +119,64 @@ def tree_distances(graph: Graph, z: frozenset[int], source: int) -> dict[int, in
     return dist
 
 
-class _TreeGrowthTheory(ProblemTheory):
-    """Shared machinery for the rooted tree-growing theories."""
+class _SpanningTreeTheory(ProblemTheory):
+    """What the three spanning-tree theories share.
+
+    A descriptor is an acyclic edge set, ``serial`` (its sorted edge
+    indices) plus the running ``cost``; the theories differ only in how it
+    grows.
+    """
 
     direction = Direction.MINIMIZE
     strictly_ranked = True
 
+    def __init__(self, graph: Graph):
+        require_connected(graph)
+        self.graph = graph
+
+    def extract(self, y) -> Optional[frozenset[int]]:
+        return frozenset(y.serial) if y.level == self.graph.n - 1 else None
+
+    def max_depth(self) -> int:
+        return self.graph.n - 1
+
+    def feasible(self, z: frozenset[int]) -> bool:
+        return is_spanning_tree(self.graph, z)
+
+    def cost(self, z: frozenset[int]) -> int:
+        return sum(self.graph.edges[ei][2] for ei in z)
+
+    def partial_cost(self, y) -> int:
+        return y.cost
+
+    def _reachable(self, shared: set[int]) -> bool:
+        """Whether an edge set shared by two descriptors is itself one.
+
+        Default: always, as for forests, where any sub-forest is reachable
+        by merging components.
+        """
+        return True
+
+    def dominates(self, y, other) -> bool:
+        # The ranking compares children of one parent; unrelated same-level
+        # descriptors are incomparable.
+        if y.serial == other.serial:
+            return True
+        mine, theirs = set(y.serial), set(other.serial)
+        if len(mine - theirs) != 1 or len(theirs - mine) != 1:
+            return False
+        if not self._reachable(mine & theirs):
+            return False
+        return (y.cost, y.serial) <= (other.cost, other.serial)
+
+
+class _TreeGrowthTheory(_SpanningTreeTheory):
+    """Shared machinery for the rooted tree-growing theories."""
+
     def __init__(self, graph: Graph, root: int):
         if not 0 <= root < graph.n:
             raise InvalidNode(f"root {root} out of range")
-        require_connected(graph)
-        self.graph = graph
+        super().__init__(graph)
         self.root = root
         self._adj = adjacency(graph)
 
@@ -142,62 +191,26 @@ class _TreeGrowthTheory(ProblemTheory):
         out.sort()
         return out
 
-    def extract(self, y: TreeDescriptor) -> Optional[frozenset[int]]:
-        return y.edges if len(y.nodes) == self.graph.n else None
-
-    def max_depth(self) -> int:
-        return self.graph.n - 1
-
-    def feasible(self, z: frozenset[int]) -> bool:
-        return is_spanning_tree(self.graph, z)
-
-    def partial_cost(self, y: TreeDescriptor) -> int:
-        return y.cost
-
     def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # Equal reached-node sets leave identical crossing-edge choices, so
         # any completing move sequence transfers verbatim.
         return y.nodes == other.nodes
 
-    def _shared_parent_valid(self, shared: frozenset[int]) -> bool:
-        """Whether an edge set is a reachable tree descriptor (rooted, connected)."""
-        if not shared:
-            return True
-        seen: dict[int, int] = {}
-        adj: dict[int, list[int]] = {}
+    def _reachable(self, shared: set[int]) -> bool:
+        # ``shared`` lies inside a tree, so it has no cycle: it is one tree
+        # holding the root exactly when it spans one node more than its
+        # edge count, the root included.
+        nodes = {self.root}
         for ei in shared:
-            a, b, _ = self.graph.edges[ei]
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if self.root not in adj:
-            return False
-        stack = [self.root]
-        reached = {self.root}
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in reached:
-                    reached.add(v)
-                    stack.append(v)
-        return len(reached) == len(shared) + 1 and reached == set(adj)
-
-    def dominates(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
-        # The ranking compares children of one parent; unrelated same-level
-        # trees are incomparable.
-        if y.serial == other.serial:
-            return True
-        if len(y.edges - other.edges) != 1 or len(other.edges - y.edges) != 1:
-            return False
-        if not self._shared_parent_valid(y.edges & other.edges):
-            return False
-        return (y.cost, y.serial) <= (other.cost, other.serial)
+            nodes.update(self.graph.edges[ei][:2])
+        return len(nodes) == len(shared) + 1
 
 
 class PrimSpanningTree(_TreeGrowthTheory):
     """Minimum spanning tree grown from a root node along cut edges."""
 
     def initial(self) -> TreeDescriptor:
-        return TreeDescriptor((), frozenset(), frozenset((self.root,)), 0)
+        return TreeDescriptor((), frozenset((self.root,)), 0)
 
     def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
         return [(self.graph.edges[ei][2], ei) for ei, _, _ in self._crossing(y)]
@@ -205,15 +218,7 @@ class PrimSpanningTree(_TreeGrowthTheory):
     def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
         a, b, w = self.graph.edges[move]
         new = b if a in y.nodes else a
-        return TreeDescriptor(
-            _with_edge(y.serial, move),
-            y.edges | {move},
-            y.nodes | {new},
-            y.cost + w,
-        )
-
-    def cost(self, z: frozenset[int]) -> int:
-        return sum(self.graph.edges[ei][2] for ei in z)
+        return TreeDescriptor(_with_edge(y.serial, move), y.nodes | {new}, y.cost + w)
 
 
 class ShortestPathTree(_TreeGrowthTheory):
@@ -225,9 +230,7 @@ class ShortestPathTree(_TreeGrowthTheory):
     """
 
     def initial(self) -> TreeDescriptor:
-        return TreeDescriptor(
-            (), frozenset(), frozenset((self.root,)), 0, {self.root: 0}
-        )
+        return TreeDescriptor((), frozenset((self.root,)), 0, {self.root: 0})
 
     def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
         assert y.dist is not None
@@ -244,11 +247,7 @@ class ShortestPathTree(_TreeGrowthTheory):
         dist = dict(y.dist)
         dist[new] = d
         return TreeDescriptor(
-            _with_edge(y.serial, move),
-            y.edges | {move},
-            y.nodes | {new},
-            y.cost + d,
-            dist,
+            _with_edge(y.serial, move), y.nodes | {new}, y.cost + d, dist
         )
 
     def cost(self, z: frozenset[int]) -> int:
@@ -259,18 +258,11 @@ class ShortestPathTree(_TreeGrowthTheory):
         return tree_distances(self.graph, z, self.root)
 
 
-class KruskalSpanningTree(ProblemTheory):
+class KruskalSpanningTree(_SpanningTreeTheory):
     """Minimum spanning tree built by merging forest components."""
 
-    direction = Direction.MINIMIZE
-    strictly_ranked = True
-
-    def __init__(self, graph: Graph):
-        require_connected(graph)
-        self.graph = graph
-
     def initial(self) -> ForestDescriptor:
-        return ForestDescriptor((), frozenset(), tuple(range(self.graph.n)), 0)
+        return ForestDescriptor((), tuple(range(self.graph.n)), 0)
 
     def child_moves(self, y: ForestDescriptor) -> list[tuple[int, int]]:
         return [
@@ -284,34 +276,8 @@ class KruskalSpanningTree(ProblemTheory):
         ca, cb = y.comp[a], y.comp[b]
         keep, drop = (ca, cb) if ca < cb else (cb, ca)
         comp = tuple(keep if c == drop else c for c in y.comp)
-        return ForestDescriptor(
-            _with_edge(y.serial, move), y.edges | {move}, comp, y.cost + w
-        )
-
-    def extract(self, y: ForestDescriptor) -> Optional[frozenset[int]]:
-        return y.edges if y.level == self.graph.n - 1 else None
-
-    def max_depth(self) -> int:
-        return self.graph.n - 1
-
-    def feasible(self, z: frozenset[int]) -> bool:
-        return is_spanning_tree(self.graph, z)
-
-    def cost(self, z: frozenset[int]) -> int:
-        return sum(self.graph.edges[ei][2] for ei in z)
-
-    def partial_cost(self, y: ForestDescriptor) -> int:
-        return y.cost
+        return ForestDescriptor(_with_edge(y.serial, move), comp, y.cost + w)
 
     def semi_congruent(self, y: ForestDescriptor, other: ForestDescriptor) -> bool:
         # Equal partitions leave identical joining-edge choices.
         return y.comp == other.comp
-
-    def dominates(self, y: ForestDescriptor, other: ForestDescriptor) -> bool:
-        if y.serial == other.serial:
-            return True
-        if len(y.edges - other.edges) != 1 or len(other.edges - y.edges) != 1:
-            return False
-        # Any sub-forest is a reachable descriptor, so single-edge symmetric
-        # difference already makes them siblings.
-        return (y.cost, y.serial) <= (other.cost, other.serial)

@@ -170,7 +170,6 @@ class IdentityDominance(ProblemTheory):
     """
 
     strictly_ranked = False
-    equivalence_key = None
 
     def __init__(self, base: ProblemTheory):
         self.base = base
@@ -200,11 +199,10 @@ class IdentityDominance(ProblemTheory):
     def partial_cost(self, y):
         return self.base.partial_cost(y)
 
-    def semi_congruent(self, y, other):
-        return y.serial == other.serial
-
     def dominates(self, y, other):
         return y.serial == other.serial
 
-    def dominance_key(self, y):
-        return self.base.dominance_key(y)
+    def equivalence_key(self, y):
+        # Each serial is its own group, so the keyed stages run in linear
+        # time and, after dedupe, merge and prune nothing.
+        return (y.serial, 0, 0)

@@ -286,6 +286,15 @@ def test_stats_rejects_json_flag(tmp_path, capsys):
     assert "--json" in capsys.readouterr().err
 
 
+def test_solve_rejects_compare_flag(tmp_path, capsys):
+    # The oracle runs only under the ``compare`` command.
+    path = write(tmp_path, "tri.graph", TRIANGLE_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "mst-prim", "--input", path, "--compare"])
+    assert exc.value.code == 2
+    assert "--compare" in capsys.readouterr().err
+
+
 def test_compare_harness_100_seeds_per_problem(tmp_path, capsys):
     import random
 

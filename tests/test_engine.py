@@ -236,9 +236,10 @@ class StrictCostPrim(PrimSpanningTree):
     def dominates(self, y, other):
         if y.serial == other.serial:
             return True
-        if len(y.edges - other.edges) != 1 or len(other.edges - y.edges) != 1:
+        mine, theirs = set(y.serial), set(other.serial)
+        if len(mine - theirs) != 1 or len(theirs - mine) != 1:
             return False
-        if not self._shared_parent_valid(y.edges & other.edges):
+        if not self._reachable(mine & theirs):
             return False
         return y.cost < other.cost
 

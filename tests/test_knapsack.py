@@ -2,7 +2,7 @@ import pytest
 
 from conftest import assert_stats_ledger
 
-from frontier_search import solve
+from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_knapsack
 from frontier_search.oracles import knapsack_dp_ref
 from frontier_search.problems import Knapsack, KnapsackInstance
@@ -133,3 +133,13 @@ def test_solve_matches_dp_at_scale(items, seed):
     assert result.optimal_cost == knapsack_dp_ref(inst)
     for z in result.optima:
         assert th.feasible(z) and th.cost(z) == result.optimal_cost
+
+
+def test_identity_dominance_solves_sixteen_items_in_linear_stages():
+    # Each serial is its own key group, so nothing merges or prunes and the
+    # stages stay linear in the level width.
+    inst = gen_knapsack(16, None, 20, 20, 1)
+    result = solve(IdentityDominance(Knapsack(inst)))
+    assert result.optimal_cost == knapsack_dp_ref(inst)
+    assert result.stats.equivalence_merged == result.stats.dominated_pruned == 0
+    assert_stats_ledger(result.stats)

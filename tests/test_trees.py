@@ -150,6 +150,24 @@ def test_zero_weight_edges_everywhere():
     assert solve(KruskalSpanningTree(g), GREEDY).optimal_cost == 0
 
 
+@pytest.mark.parametrize("make", [PrimSpanningTree, ShortestPathTree])
+def test_rooted_dominance_needs_a_common_parent(make, weighted_triangle):
+    th = make(weighted_triangle, 0)
+
+    def grow(*moves):
+        y = th.initial()
+        for move in moves:
+            y = th.apply_move(y, move)
+        return y
+
+    # a and b share only edge 1 (1-2), which misses the root, so they have
+    # no common parent; each shares a rooted edge with c.
+    a, b, c = grow(0, 1), grow(2, 1), grow(0, 2)
+    assert not th.dominates(a, b) and not th.dominates(b, a)
+    for y in (a, b):
+        assert th.dominates(y, c) != th.dominates(c, y)
+
+
 # -- descriptor invariants ----------------------------------------------------
 
 
@@ -159,12 +177,12 @@ def test_split_children_satisfy_tree_invariants():
     for layer in enumerate_levels(th, 3):
         for y in layer:
             nodes = {0}
-            for ei in y.edges:
+            for ei in y.serial:
                 a, b, _ = g.edges[ei]
                 nodes.update((a, b))
             assert y.nodes == frozenset(nodes)
-            assert y.serial == tuple(sorted(y.edges))
-            assert y.dist == tree_distances(g, y.edges, 0)
+            assert all(a < b for a, b in zip(y.serial, y.serial[1:]))
+            assert y.dist == tree_distances(g, frozenset(y.serial), 0)
             assert y.cost == sum(d for v, d in y.dist.items())
 
 
@@ -174,7 +192,8 @@ def test_forest_component_cache_coherent():
     for layer in enumerate_levels(th, 3):
         for y in layer:
             comp = list(range(4))
-            for ei in sorted(y.edges):
+            assert all(a < b for a, b in zip(y.serial, y.serial[1:]))
+            for ei in y.serial:
                 a, b = g.edges[ei][0], g.edges[ei][1]
                 ca, cb = comp[a], comp[b]
                 lo, hi = min(ca, cb), max(ca, cb)
