@@ -18,10 +18,15 @@ Preparata).  Without one, both stages test pairs of members with
 ``dominates`` within each ``dominance_key`` group; that pairwise path is also
 the reference the keyed one is tested against.
 
-When a theory declares ``strictly_ranked`` and the frontier is a singleton,
-the pipeline collapses to picking the single cheapest child (canonical order
-breaking ties) without materializing the rest; the outcome, including all
-statistics, is identical to the generic pipeline.
+When a theory declares ``strictly_ranked``, every level keeps exactly one
+child, the cheapest (canonical order breaking ties), so the pipeline
+collapses to the theory's ``greedy_walk``: it takes the greedy child level by
+level without materializing the others, yields each level's candidate count,
+and returns the last descriptor it reaches.  A level of ``n`` candidates
+counts ``n`` generated, ``n - 1`` dominance-pruned and one survivor, and a
+level without candidates ends the walk with a ``(0, 0)`` row; locals are
+read off the returned descriptor only.  The outcome, including all
+statistics, is identical to the generic pipeline's.
 """
 
 from __future__ import annotations
@@ -218,20 +223,6 @@ def opt_c(
 # ---------------------------------------------------------------------------
 
 
-def _greedy_step(theory: ProblemTheory, parent: Any) -> tuple[Optional[Any], int]:
-    """Cheapest child of ``parent`` under the theory's strict ranking.
-
-    Ties on cost increment fall back to the smallest move, which for
-    move-per-element serializations is exactly the canonically smallest
-    child.  Returns (child, number of candidate moves).
-    """
-    moves = theory.child_moves(parent)
-    if not moves:
-        return None, 0
-    inc, move = min(moves)
-    return theory.apply_move(parent, move), len(moves)
-
-
 def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveResult:
     """Run the search to completion and return all optima found with stats.
 
@@ -249,20 +240,26 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     level = 0
 
     frontier = [theory.initial()]
-    found = collect_locals(theory, frontier)
 
-    while frontier and level < depth_bound:
-        level += 1
-        if theory.strictly_ranked and len(frontier) == 1:
-            child, n_moves = _greedy_step(theory, frontier[0])
+    if theory.strictly_ranked:
+        walk = theory.greedy_walk(frontier[0], depth_bound)
+        while True:
+            try:
+                n_moves = next(walk)
+            except StopIteration as end:
+                frontier = [end.value]
+                break
+            level += 1
             generated += n_moves
-            if child is None:
-                survivors: list[Any] = []
-            else:
-                survivors = [child]
-                pruned += n_moves - 1
-            raw = n_moves
-        else:
+            survived = 1 if n_moves else 0
+            pruned += n_moves - survived
+            rows.append((n_moves, survived))
+        found = collect_locals(theory, frontier)
+
+    else:
+        found = collect_locals(theory, frontier)
+        while frontier and level < depth_bound:
+            level += 1
             children = expand(theory, frontier)
             raw = len(children)
             generated += raw
@@ -276,12 +273,12 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
             survivors, n_pruned = filter_dominated(theory, reps)
             pruned += n_pruned
 
-        if config.mode is Mode.GREEDY and len(survivors) > 1:
-            raise GreedyViolation(level, len(survivors))
+            if config.mode is Mode.GREEDY and len(survivors) > 1:
+                raise GreedyViolation(level, len(survivors))
 
-        rows.append((raw, len(survivors)))
-        frontier = survivors
-        found.extend(collect_locals(theory, frontier))
+            rows.append((raw, len(survivors)))
+            frontier = survivors
+            found.extend(collect_locals(theory, frontier))
 
     best_cost, best = opt_c(found, theory.direction)
     stats = SearchStats(

@@ -9,7 +9,7 @@ from frontier_search import (
     Mode,
     solve,
 )
-from frontier_search.cli import gen_knapsack
+from frontier_search.cli import gen_graph, gen_knapsack
 from frontier_search.engine import (
     collect_locals,
     dedupe,
@@ -358,18 +358,29 @@ def test_stats_identity_holds_across_problems(triangle, diamond, weighted_triang
         assert_stats_ledger(solve(th).stats)
 
 
+GREEDY_PATH_GRAPHS = [
+    Graph(5, ((0, 1, 2), (0, 2, 2), (1, 2, 1), (1, 3, 4), (2, 3, 2), (3, 4, 0))),
+    # Parallel edges, zero weights and ties in both orientations.
+    Graph(4, ((1, 0, 1), (0, 1, 1), (2, 1, 0), (1, 2, 0), (3, 2, 1), (0, 3, 1), (2, 0, 0))),
+    gen_graph(9, 0.6, 2, 7),
+    gen_graph(14, 0.4, 3, 8),
+]
+
+
 @pytest.mark.parametrize("make", [
     lambda g: ShortestPathTree(g, 0),
     lambda g: PrimSpanningTree(g, 0),
     lambda g: KruskalSpanningTree(g),
 ])
 def test_greedy_fast_path_matches_generic_pipeline(make):
-    g = Graph(5, ((0, 1, 2), (0, 2, 2), (1, 2, 1), (1, 3, 4), (2, 3, 2), (3, 4, 0)))
-    fast = solve(make(g), EngineConfig(mode=Mode.GREEDY))
-    generic_theory = make(g)
-    generic_theory.strictly_ranked = False
-    generic = solve(generic_theory, EngineConfig(mode=Mode.GREEDY))
-    assert fast == generic
+    for g in GREEDY_PATH_GRAPHS:
+        for depth_bound in (None, 0, 1):
+            config = EngineConfig(mode=Mode.GREEDY, depth_bound=depth_bound)
+            fast = solve(make(g), config)
+            generic_theory = make(g)
+            generic_theory.strictly_ranked = False
+            generic = solve(generic_theory, config)
+            assert fast == generic, (g, depth_bound)
 
 
 def test_no_dominance_wrapper_same_cost_more_width(diamond):

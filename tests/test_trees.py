@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_stats_ledger, enumerate_levels
 
 from frontier_search import EngineConfig, Mode, solve
+from frontier_search.cli import gen_graph
 from frontier_search.oracles import mst_ref, shortest_path_ref
 from frontier_search.problems import (
     Graph,
@@ -13,6 +16,7 @@ from frontier_search.problems import (
     tree_distances,
 )
 from frontier_search.problems.graphs import GraphDisconnected
+from frontier_search.theory import ProblemTheory
 
 GREEDY = EngineConfig(mode=Mode.GREEDY)
 
@@ -208,3 +212,94 @@ def test_is_spanning_tree():
     assert not is_spanning_tree(g, frozenset((0, 1, 2, 3)))  # too big
     g2 = Graph(4, ((0, 1, 1), (1, 2, 2), (0, 2, 3), (3, 0, 4)))
     assert not is_spanning_tree(g2, frozenset((0, 1, 2)))  # cycle, misses node 3
+
+
+# -- greedy walk ---------------------------------------------------------------
+
+TREE_THEORIES = {
+    "sssp": ShortestPathTree,
+    "prim": PrimSpanningTree,
+    "kruskal": KruskalSpanningTree,
+}
+
+
+def walk_variants(problem, g):
+    """The theory with its own walk, with the interface's default walk, and
+    with the generic pipeline in place of any walk."""
+    cls = TREE_THEORIES[problem]
+    default = type("DefaultWalk", (cls,), {"greedy_walk": ProblemTheory.greedy_walk})
+    generic = type("Generic", (cls,), {"strictly_ranked": False})
+    args = (g,) if cls is KruskalSpanningTree else (g, 0)
+    return tuple(c(*args) for c in (cls, default, generic))
+
+
+@st.composite
+def tied_multigraphs(draw):
+    """Connected graphs of 1-7 nodes crowded with parallel, zero-weight and
+    equal-weight edges, in shuffled order and orientation."""
+    n = draw(st.integers(1, 7))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        pairs += draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]),
+            max_size=10,
+        ))
+    pairs = draw(st.permutations(pairs))
+    edges = tuple(
+        (b, a, w) if flip else (a, b, w)
+        for (a, b), w, flip in zip(
+            pairs,
+            draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs))),
+            draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))),
+        )
+    )
+    return Graph(n, edges)
+
+
+def run_walk(th, depth):
+    """Each level's move count and the last descriptor of a greedy walk."""
+    walk, counts = th.greedy_walk(th.initial(), depth), []
+    try:
+        while True:
+            counts.append(next(walk))
+    except StopIteration as end:
+        return counts, end.value
+
+
+@given(
+    tied_multigraphs(),
+    st.sampled_from(sorted(TREE_THEORIES)),
+    st.sampled_from([None, 0, 1, "n-2"]),
+    st.sampled_from(list(Mode)),
+)
+@settings(max_examples=300, deadline=None)
+def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth, mode):
+    depth_bound = max(g.n - 2, 0) if depth == "n-2" else depth
+    config = EngineConfig(mode=mode, depth_bound=depth_bound)
+    theories = walk_variants(problem, g)
+    fast, default, generic = (solve(th, config) for th in theories)
+    assert fast == default == generic
+    assert_stats_ledger(fast.stats)
+    # Past the spanning tree both walks stop at a level without moves.
+    walk_depth = g.n + 1 if depth_bound is None else depth_bound
+    (counts, last), (default_counts, default_last) = (
+        run_walk(th, walk_depth) for th in theories[:2])
+    assert counts == default_counts and vars(last) == vars(default_last)
+
+
+@pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
+def test_greedy_walk_matches_default_walk_at_scale(problem):
+    for n, density, seed in ((300, 0.05, 1), (500, 0.02, 2), (800, 0.008, 3)):
+        fast, default, _ = walk_variants(problem, gen_graph(n, density, 50, seed))
+        result = solve(fast, GREEDY)
+        assert result == solve(default, GREEDY)
+        assert result.stats.levels == n - 1
+
+
+@pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
+def test_one_node_graph_counts_its_level_zero_local_once(problem):
+    for th in walk_variants(problem, Graph(1, ())):
+        stats = solve(th, GREEDY).stats
+        assert stats.locals_found == 1
+        assert stats.levels == 0 and stats.per_level_width == ()
