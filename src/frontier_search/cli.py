@@ -135,20 +135,22 @@ def gen_graph(nodes: int, density: float, max_weight: int, seed: int) -> Graph:
     edges: list[tuple[int, int, int]] = []
     order = list(range(nodes))
     rng.shuffle(order)
-    present: set[tuple[int, int]] = set()
+    # Pairs a < b are held as ints a * nodes + b: the list is O(nodes^2) long.
+    present: set[int] = set()
     for i in range(1, nodes):
         a, b = order[rng.randrange(i)], order[i]
         edges.append((a, b, rng.randint(0, max_weight)))
-        present.add((min(a, b), max(a, b)))
+        present.add(min(a, b) * nodes + max(a, b))
     target_m = max(nodes - 1, round(density * nodes * (nodes - 1) / 2))
     spare = [
-        (a, b)
+        pair
         for a in range(nodes)
-        for b in range(a + 1, nodes)
-        if (a, b) not in present
+        for pair in range(a * nodes + a + 1, (a + 1) * nodes)
+        if pair not in present
     ]
     rng.shuffle(spare)
-    for a, b in spare[: target_m - len(edges)]:
+    for pair in spare[: target_m - len(edges)]:
+        a, b = divmod(pair, nodes)
         edges.append((a, b, rng.randint(0, max_weight)))
     return Graph(nodes, tuple(edges))
 

@@ -9,7 +9,6 @@ from .graphs import (
 from .knapsack import Knapsack, KnapsackDescriptor, KnapsackInstance
 from .paths import PathDescriptor, SinglePairShortestPath
 from .trees import (
-    ForestDescriptor,
     KruskalSpanningTree,
     PrimSpanningTree,
     ShortestPathTree,
@@ -30,7 +29,6 @@ __all__ = [
     "KnapsackInstance",
     "PathDescriptor",
     "SinglePairShortestPath",
-    "ForestDescriptor",
     "KruskalSpanningTree",
     "PrimSpanningTree",
     "ShortestPathTree",

@@ -1,13 +1,15 @@
 """Single-pair shortest path over simple paths.
 
-Partial solutions are simple paths growing edge by edge from the source
-node; a solution is extractable as soon as the path's end node is the
+A partial solution is a simple path growing edge by edge from the source
+node.  Its descriptor stores the path once, as its edges in walk order plus
+its end node and weight; the node set is derived from the edges where it is
+needed.  A solution is extractable as soon as the path's end node is the
 target.  Paths ending at the same node are compared by accumulated weight:
 the cheaper one dominates, which keeps the frontier no wider than the node
 count.  The relation deliberately ignores which interior nodes the paths
 visited.  That is stronger than what same-extension transfer justifies, so
-``semi_congruent`` additionally demands that the dominating path's visited
-set is contained in the other's.
+``semi_congruent`` additionally demands that the dominating path's node set
+is contained in the other's.
 
 The stronger relation is still sound, given non-negative weights.  Take an
 optimal path P* with the fewest edges, and a same-level path y that ends at
@@ -33,7 +35,6 @@ class PathDescriptor:
 
     serial: tuple[int, ...]  # edge indices in walk order
     end: int
-    visited: frozenset[int]
     cost: int
 
     @property
@@ -58,25 +59,28 @@ class SinglePairShortestPath(ProblemTheory):
         self._adj = adjacency(graph)
 
     def initial(self) -> PathDescriptor:
-        return PathDescriptor((), self.source, frozenset((self.source,)), 0)
+        return PathDescriptor((), self.source, 0)
+
+    def _nodes(self, y: PathDescriptor) -> set[int]:
+        """The nodes on the path: the source plus both ends of every edge."""
+        nodes = {self.source}
+        edges = self.graph.edges
+        for ei in y.serial:
+            a, b, _ = edges[ei]
+            nodes.add(a)
+            nodes.add(b)
+        return nodes
 
     def child_moves(self, y: PathDescriptor) -> list[tuple[int, int]]:
         # Only edges hanging off the end node that reach an unvisited node;
-        # anything else could never become a feasible path.
-        moves = [
-            (w, ei)
-            for ei, other, w in self._adj[y.end]
-            if other not in y.visited
-        ]
-        moves.sort(key=lambda mv: mv[1])
-        return moves
+        # anything else could never become a feasible path.  ``adjacency``
+        # lists them in increasing edge index, the canonical child order.
+        visited = self._nodes(y)
+        return [(w, ei) for ei, other, w in self._adj[y.end] if other not in visited]
 
     def apply_move(self, y: PathDescriptor, move: int) -> PathDescriptor:
         a, b, w = self.graph.edges[move]
-        nxt = b if y.end == a else a
-        return PathDescriptor(
-            y.serial + (move,), nxt, y.visited | {nxt}, y.cost + w
-        )
+        return PathDescriptor(y.serial + (move,), b if y.end == a else a, y.cost + w)
 
     def extract(self, y: PathDescriptor) -> Optional[tuple[int, ...]]:
         return y.serial if y.end == self.target else None
@@ -110,7 +114,7 @@ class SinglePairShortestPath(ProblemTheory):
         return y.cost
 
     def semi_congruent(self, y: PathDescriptor, other: PathDescriptor) -> bool:
-        return y.end == other.end and y.visited <= other.visited
+        return y.end == other.end and self._nodes(y) <= self._nodes(other)
 
     def dominates(self, y: PathDescriptor, other: PathDescriptor) -> bool:
         return y.end == other.end and y.cost <= other.cost

@@ -1,23 +1,24 @@
 """Tree-growing problems: shortest-path tree and minimum spanning tree.
 
-All three theories here derive from one base: a partial solution is an
-acyclic edge set that grows by one edge per level until it spans the graph,
-and the dominance relation is a strict ranking of the children of a common
-parent, so the undominated frontier always has width one (the greedy choice).
-Ranking compares ``(partial_cost, serial)``, which for children of one parent
-is exactly "cheapest added element, smallest edge index on ties".  The
-theories differ only in ``initial``, ``child_moves``, ``apply_move``,
-``semi_congruent``, the shortest-path tree's ``cost`` and ``_reachable``
-(which edge sets are descriptors at all) -- the small systematic changes
-that turn one derivation into another:
+All three theories here derive from one base and share one descriptor,
+``TreeDescriptor``: a partial solution is an acyclic edge set, stored once
+as its sorted edge indices plus its running cost, that grows by one edge per
+level until it spans the graph.  Node sets, root-path costs and components
+are derived from that edge set by the theory that needs them.  The dominance
+relation is a strict ranking of the children of a common parent, so the
+undominated frontier always has width one (the greedy choice).  Ranking
+compares ``(partial_cost, serial)``, which for children of one parent is
+exactly "cheapest added element, smallest edge index on ties".  The
+derivations differ in small systematic changes:
 
-* minimum spanning tree, cut variant: grow one tree from a root along its
-  lightest crossing edge (Prim's scheme);
 * minimum spanning tree, forest variant: merge components along the lightest
   edge joining two of them (Kruskal's scheme);
-* shortest-path tree: attach the outside node whose root path through the
-  tree is shortest (Dijkstra's scheme); the tree cost is the sum of all
-  root-path costs, so each attachment contributes the new node's distance.
+* rooted variants: grow one tree from a root, attaching the outside node
+  whose attachment is cheapest.  Attaching node v along the edge (u, v, w)
+  costs ``label(u) + w``, and one rule names the labels.  With label 0 this
+  is the minimum spanning tree's cut variant (Prim's scheme).  With the
+  node's root-path cost it is the shortest-path tree (Dijkstra's scheme),
+  whose cost is the sum of all root-path costs.
 
 The ranking only means anything between siblings; ``dominates`` therefore
 answers False for same-level descriptors that do not share a parent.  Its
@@ -26,18 +27,17 @@ parent extends to a completion at least as good as every sibling's (the
 classic exchange argument), which is exactly what keeping a single
 undominated child per level requires.
 
-Each theory also overrides ``greedy_walk``, the engine's greedy path, with
-the finite-differenced form of its derivation (Paige and Koenig's finite
+Both schemes override ``greedy_walk``, the engine's greedy path, with the
+finite-differenced form of their derivation (Paige and Koenig's finite
 differencing, the step Smith's KIDS applies after the global-search schema):
 rather than recompute the candidate moves at every level, the walk keeps
-them and updates them by the one element each level adds.  The rooted
-theories keep their crossing edges in a lazy-deletion heap keyed
-``(increment, edge index)``, Kruskal's keeps the edges sorted by ``(weight,
-edge index)`` behind a union-find, and all three keep the level's move count
-up to date incrementally.  Only the last descriptor is built.  The walks
-pick the same child and count the same moves as ``child_moves`` at every
-level, so optima and every search statistic equal the default walk's, in
-O(m log n) time in place of O(n m).
+them and updates them by the one element each level adds.  The rooted walk
+keeps the crossing edges in a lazy-deletion heap keyed ``(increment, edge
+index)``, Kruskal's keeps the edges sorted by ``(weight, edge index)`` behind
+a union-find, and both keep the level's move count up to date.  Only the
+last descriptor is built.  The walks pick the same child and count the same
+moves as ``child_moves`` at every level, so optima and every search
+statistic equal the default walk's, in O(m log n) time in place of O(n m).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Generator, Mapping, Optional
+from operator import itemgetter
+from typing import Generator, Iterable, Optional
 
 from ..theory import Direction, ProblemTheory
 from .graphs import Graph, InvalidNode, adjacency, require_connected
@@ -53,32 +54,9 @@ from .graphs import Graph, InvalidNode, adjacency, require_connected
 
 @dataclass(frozen=True, eq=False)
 class TreeDescriptor:
-    """Tree grown from a root, as its sorted edge indices and node set.
-
-    ``dist`` caches root-path costs and is only populated by the
-    shortest-path-tree theory.
-    """
+    """Acyclic edge set, as its sorted edge indices and running cost."""
 
     serial: tuple[int, ...]  # sorted edge indices
-    nodes: frozenset[int]
-    cost: int
-    dist: Optional[Mapping[int, int]] = None
-
-    @property
-    def level(self) -> int:
-        return len(self.serial)
-
-
-@dataclass(frozen=True, eq=False)
-class ForestDescriptor:
-    """Spanning forest as its sorted edge indices plus its node partition.
-
-    ``comp[v]`` is the smallest node id in v's component, so equal partitions
-    compare equal componentwise.
-    """
-
-    serial: tuple[int, ...]  # sorted edge indices
-    comp: tuple[int, ...]
     cost: int
 
     @property
@@ -100,24 +78,26 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def is_spanning_tree(graph: Graph, z: frozenset[int]) -> bool:
-    """Acyclic, connected, covers every node; decided by union-find."""
-    if len(z) != graph.n - 1:
-        return False
+def _components(graph: Graph, edges: Iterable[int]) -> list[int]:
+    """Each node's component in the forest ``edges``, as its smallest node."""
+    # Hanging the larger root under the smaller keeps each root the smallest.
     parent = list(range(graph.n))
-    for ei in z:
-        if not 0 <= ei < graph.m:
-            return False
+    for ei in edges:
         a, b, _ = graph.edges[ei]
         ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+        parent[max(ra, rb)] = min(ra, rb)
+    return [_find(parent, v) for v in range(graph.n)]
 
 
-def tree_distances(graph: Graph, z: frozenset[int], source: int) -> dict[int, int]:
-    """Root-path cost of every node in the tree ``z``, starting at ``source``."""
+def is_spanning_tree(graph: Graph, z: frozenset[int]) -> bool:
+    """n - 1 edges of the graph joining every node into one component."""
+    if len(z) != graph.n - 1 or not all(0 <= ei < graph.m for ei in z):
+        return False
+    return max(_components(graph, z)) == 0
+
+
+def tree_distances(graph: Graph, z: Iterable[int], source: int) -> dict[int, int]:
+    """Root-path cost of every node the acyclic edge set ``z`` joins to ``source``."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for ei in z:
         a, b, w = graph.edges[ei]
@@ -135,12 +115,7 @@ def tree_distances(graph: Graph, z: frozenset[int], source: int) -> dict[int, in
 
 
 class _SpanningTreeTheory(ProblemTheory):
-    """What the three spanning-tree theories share.
-
-    A descriptor is an acyclic edge set, ``serial`` (its sorted edge
-    indices) plus the running ``cost``; the theories differ only in how it
-    grows.
-    """
+    """What the three spanning-tree theories share, all but how trees grow."""
 
     direction = Direction.MINIMIZE
     strictly_ranked = True
@@ -149,7 +124,10 @@ class _SpanningTreeTheory(ProblemTheory):
         require_connected(graph)
         self.graph = graph
 
-    def extract(self, y) -> Optional[frozenset[int]]:
+    def initial(self) -> TreeDescriptor:
+        return TreeDescriptor((), 0)
+
+    def extract(self, y: TreeDescriptor) -> Optional[frozenset[int]]:
         return frozenset(y.serial) if y.level == self.graph.n - 1 else None
 
     def max_depth(self) -> int:
@@ -161,18 +139,17 @@ class _SpanningTreeTheory(ProblemTheory):
     def cost(self, z: frozenset[int]) -> int:
         return sum(self.graph.edges[ei][2] for ei in z)
 
-    def partial_cost(self, y) -> int:
+    def partial_cost(self, y: TreeDescriptor) -> int:
         return y.cost
 
     def _reachable(self, shared: set[int]) -> bool:
         """Whether an edge set shared by two descriptors is itself one.
 
-        Default: always, as for forests, where any sub-forest is reachable
-        by merging components.
+        Default: always, as any sub-forest is reachable by merging components.
         """
         return True
 
-    def dominates(self, y, other) -> bool:
+    def dominates(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # The ranking compares children of one parent; unrelated same-level
         # descriptors are incomparable.
         if y.serial == other.serial:
@@ -186,7 +163,11 @@ class _SpanningTreeTheory(ProblemTheory):
 
 
 class _TreeGrowthTheory(_SpanningTreeTheory):
-    """Shared machinery for the rooted tree-growing theories."""
+    """Grow one tree from a root, attaching one outside node per level.
+
+    Attaching v along the edge (u, v, w) costs ``label(u) + w``.  The labels,
+    and with them the node set, are derived from ``serial`` by ``_labels``.
+    """
 
     def __init__(self, graph: Graph, root: int):
         if not 0 <= root < graph.n:
@@ -195,21 +176,50 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         self.root = root
         self._adj = adjacency(graph)
 
-    def _crossing(self, y: TreeDescriptor) -> list[tuple[int, int, int]]:
-        """Edges with exactly one endpoint inside, as (ei, inside, outside)."""
-        out = [
-            (ei, u, v)
-            for u in y.nodes
-            for ei, v, _ in self._adj[u]
-            if v not in y.nodes
+    @staticmethod
+    def _label(cost: int) -> int:
+        """The label of a node reached at ``cost``: the theory's one rule.
+
+        The label is the root-path cost (SSSP) or 0 (Prim).  ``cost`` may be
+        the node's root-path cost or the increment that attaches it: the two
+        are equal under the first rule, and the second ignores both.
+        """
+        raise NotImplementedError
+
+    def _labels(self, edges: Iterable[int]) -> dict[int, int]:
+        """The label of every node of the tree ``edges`` grow from the root."""
+        dist = tree_distances(self.graph, edges, self.root)
+        return {v: self._label(d) for v, d in dist.items()}
+
+    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
+        # The crossing edges, those with exactly one endpoint in the tree,
+        # in edge-index order.
+        labels = self._labels(y.serial)
+        moves = [
+            (labels[u] + w, ei)
+            for u in labels
+            for ei, v, w in self._adj[u]
+            if v not in labels
         ]
-        out.sort()
-        return out
+        moves.sort(key=itemgetter(1))
+        return moves
+
+    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
+        a, b, w = self.graph.edges[move]
+        labels = self._labels(y.serial)
+        inside = a if a in labels else b
+        return TreeDescriptor(_with_edge(y.serial, move), y.cost + labels[inside] + w)
 
     def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # Equal reached-node sets leave identical crossing-edge choices, so
         # any completing move sequence transfers verbatim.
-        return y.nodes == other.nodes
+        return self._labels(y.serial).keys() == self._labels(other.serial).keys()
+
+    def _reachable(self, shared: set[int]) -> bool:
+        # ``shared`` lies inside a tree, so it has no cycle: it is one tree
+        # holding the root exactly when the root's part of it spans one node
+        # more than all of it has edges.
+        return len(self._labels(shared)) == len(shared) + 1
 
     def greedy_walk(
         self, y: TreeDescriptor, depth: int
@@ -219,16 +229,13 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         # outside node joins.  Attaching v turns v's edges to the inside
         # from crossing to internal and its edges to the outside into new
         # crossing edges, which keeps the move count without a rescan.
-        # Only shortest-path-tree descriptors carry ``dist``: there an
-        # attachment costs the new node's root-path cost, else its weight.
         adj = self._adj
-        dist = dict(y.dist) if y.dist is not None else None
-        inside = set(y.nodes)
+        labels = self._labels(y.serial)
         heap = [
-            ((dist[u] if dist is not None else 0) + w, ei, v)
-            for u in inside
+            (labels[u] + w, ei, v)
+            for u in labels
             for ei, v, w in adj[u]
-            if v not in inside
+            if v not in labels
         ]
         heapify(heap)
         crossing = len(heap)
@@ -239,80 +246,43 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
             if not crossing:
                 break
             inc, ei, v = heappop(heap)
-            while v in inside:
+            while v in labels:
                 inc, ei, v = heappop(heap)
-            inside.add(v)
+            labels[v] = label = self._label(inc)
             added.append(ei)
             cost += inc
-            base = 0
-            if dist is not None:
-                dist[v] = base = inc
             for ej, x, w in adj[v]:
-                if x in inside:
+                if x in labels:
                     crossing -= 1
                 else:
                     crossing += 1
-                    heappush(heap, (base + w, ej, x))
-        return TreeDescriptor(
-            tuple(sorted(y.serial + tuple(added))), frozenset(inside), cost, dist
-        )
-
-    def _reachable(self, shared: set[int]) -> bool:
-        # ``shared`` lies inside a tree, so it has no cycle: it is one tree
-        # holding the root exactly when it spans one node more than its
-        # edge count, the root included.
-        nodes = {self.root}
-        for ei in shared:
-            nodes.update(self.graph.edges[ei][:2])
-        return len(nodes) == len(shared) + 1
+                    heappush(heap, (label + w, ej, x))
+        return TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)
 
 
 class PrimSpanningTree(_TreeGrowthTheory):
-    """Minimum spanning tree grown from a root node along cut edges."""
+    """Minimum spanning tree grown from a root along cut edges; labels are 0."""
 
-    def initial(self) -> TreeDescriptor:
-        return TreeDescriptor((), frozenset((self.root,)), 0)
-
-    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
-        return [(self.graph.edges[ei][2], ei) for ei, _, _ in self._crossing(y)]
-
-    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
-        a, b, w = self.graph.edges[move]
-        new = b if a in y.nodes else a
-        return TreeDescriptor(_with_edge(y.serial, move), y.nodes | {new}, y.cost + w)
+    @staticmethod
+    def _label(cost: int) -> int:
+        return 0
 
 
 class ShortestPathTree(_TreeGrowthTheory):
     """Tree of minimum-cost root paths from a source to every node.
 
     The cost of a (partial) tree is the sum of the root-path costs of all its
-    nodes, so attaching node v through edge (u, v) contributes
-    ``dist(u) + w``; the greedy child attaches the node closest to the source.
+    nodes.  A node's label is its root-path cost, so attaching node v through
+    edge (u, v) contributes ``dist(u) + w``, v's own root-path cost; the
+    greedy child attaches the node closest to the source.
     """
 
-    def initial(self) -> TreeDescriptor:
-        return TreeDescriptor((), frozenset((self.root,)), 0, {self.root: 0})
-
-    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
-        assert y.dist is not None
-        return [
-            (y.dist[u] + self.graph.edges[ei][2], ei)
-            for ei, u, _ in self._crossing(y)
-        ]
-
-    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
-        assert y.dist is not None
-        a, b, w = self.graph.edges[move]
-        u, new = (a, b) if a in y.nodes else (b, a)
-        d = y.dist[u] + w
-        dist = dict(y.dist)
-        dist[new] = d
-        return TreeDescriptor(
-            _with_edge(y.serial, move), y.nodes | {new}, y.cost + d, dist
-        )
+    @staticmethod
+    def _label(cost: int) -> int:
+        return cost
 
     def cost(self, z: frozenset[int]) -> int:
-        # Recomputed from scratch, independently of descriptor caches.
+        # Recomputed from the edge set alone, not from the running cost.
         return sum(tree_distances(self.graph, z, self.root).values())
 
     def distances(self, z: frozenset[int]) -> dict[int, int]:
@@ -322,37 +292,35 @@ class ShortestPathTree(_TreeGrowthTheory):
 class KruskalSpanningTree(_SpanningTreeTheory):
     """Minimum spanning tree built by merging forest components."""
 
-    def initial(self) -> ForestDescriptor:
-        return ForestDescriptor((), tuple(range(self.graph.n)), 0)
-
-    def child_moves(self, y: ForestDescriptor) -> list[tuple[int, int]]:
+    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
+        comp = _components(self.graph, y.serial)
         return [
             (w, ei)
             for ei, (a, b, w) in enumerate(self.graph.edges)
-            if y.comp[a] != y.comp[b]
+            if comp[a] != comp[b]
         ]
 
-    def apply_move(self, y: ForestDescriptor, move: int) -> ForestDescriptor:
-        a, b, w = self.graph.edges[move]
-        ca, cb = y.comp[a], y.comp[b]
-        keep, drop = (ca, cb) if ca < cb else (cb, ca)
-        comp = tuple(keep if c == drop else c for c in y.comp)
-        return ForestDescriptor(_with_edge(y.serial, move), comp, y.cost + w)
+    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
+        return TreeDescriptor(
+            _with_edge(y.serial, move), y.cost + self.graph.edges[move][2]
+        )
 
-    def semi_congruent(self, y: ForestDescriptor, other: ForestDescriptor) -> bool:
+    def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # Equal partitions leave identical joining-edge choices.
-        return y.comp == other.comp
+        return _components(self.graph, y.serial) == _components(
+            self.graph, other.serial
+        )
 
     def greedy_walk(
-        self, y: ForestDescriptor, depth: int
-    ) -> Generator[int, None, ForestDescriptor]:
+        self, y: TreeDescriptor, depth: int
+    ) -> Generator[int, None, TreeDescriptor]:
         # Edges are tried in (weight, ei) order and skipped once union-find
         # puts both ends in one component.  ``between[c]`` counts the edges
         # from component c to each other one; a merge subtracts the pair's
         # count from the joining-edge total and folds the smaller map into
         # the larger.
         edges = self.graph.edges
-        parent = list(y.comp)  # comp[v] is its component's root
+        parent = _components(self.graph, y.serial)  # each root labels itself
         between: dict[int, dict[int, int]] = {c: {} for c in parent}
         joining = 0
         for a, b, _ in edges:
@@ -386,7 +354,4 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             parent[ra] = rb
             added.append(ei)
             cost += w
-        # Label each component by its smallest node, as ``comp`` requires.
-        label: dict[int, int] = {}
-        comp = tuple(label.setdefault(_find(parent, v), v) for v in range(self.graph.n))
-        return ForestDescriptor(tuple(sorted(y.serial + tuple(added))), comp, cost)
+        return TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)

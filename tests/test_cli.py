@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from frontier_search.cli import (
     render_graph,
     render_knapsack,
 )
-from frontier_search.problems import is_connected
+from frontier_search.problems import Graph, is_connected
 from frontier_search.problems.graphs import GraphValidationError
 
 TRIANGLE_TEXT = "3 3\n0 1 1\n1 2 1\n0 2 3\n"
@@ -103,6 +104,45 @@ def test_gen_deterministic_per_seed():
     c = gen_graph(8, 0.5, 10, seed=43)
     assert a == b
     assert a != c
+
+
+def _gen_graph_with_tuple_pairs(nodes, density, max_weight, seed):
+    """``gen_graph`` as it was when it held its spare pairs as tuples."""
+    rng = random.Random(seed)
+    edges = []
+    order = list(range(nodes))
+    rng.shuffle(order)
+    present = set()
+    for i in range(1, nodes):
+        a, b = order[rng.randrange(i)], order[i]
+        edges.append((a, b, rng.randint(0, max_weight)))
+        present.add((min(a, b), max(a, b)))
+    target_m = max(nodes - 1, round(density * nodes * (nodes - 1) / 2))
+    spare = [
+        (a, b)
+        for a in range(nodes)
+        for b in range(a + 1, nodes)
+        if (a, b) not in present
+    ]
+    rng.shuffle(spare)
+    for a, b in spare[: target_m - len(edges)]:
+        edges.append((a, b, rng.randint(0, max_weight)))
+    return Graph(nodes, tuple(edges))
+
+
+def test_gen_graph_matches_tuple_pair_generator():
+    # Packing pairs into ints changes no draw: ``shuffle`` consumes the RNG
+    # by list length alone, so every graph comes out the same.
+    cases = [
+        (n, density, seed)
+        for n in (1, 2, 3, 5, 8, 13, 40)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0)
+        for seed in range(12)
+    ] + [(350, 20 / 349, seed) for seed in range(3)]
+    for n, density, seed in cases:
+        assert gen_graph(n, density, 1000, seed) == _gen_graph_with_tuple_pairs(
+            n, density, 1000, seed
+        )
 
 
 # -- command behavior ----------------------------------------------------------

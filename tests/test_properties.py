@@ -351,7 +351,14 @@ def test_path_descriptor_caches_coherent():
                     cur = b if cur == a else a
                     seen.add(cur)
                     cost += w
-                assert (y.end, y.visited, y.cost) == (cur, frozenset(seen), cost)
+                assert (y.end, y.cost) == (cur, cost)
+                # The derived node set lets through exactly the edges from
+                # the end node to a node the path has not visited.
+                assert [ei for _, ei in theory.child_moves(y)] == [
+                    ei
+                    for ei, (a, b, _) in enumerate(g.edges)
+                    if cur in (a, b) and (b if cur == a else a) not in seen
+                ]
 
 
 def test_knapsack_descriptor_caches_coherent():

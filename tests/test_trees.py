@@ -176,6 +176,8 @@ def test_rooted_dominance_needs_a_common_parent(make, weighted_triangle):
 
 
 def test_split_children_satisfy_tree_invariants():
+    # Descriptors store only the edge set and cost; node sets and root-path
+    # costs are derived from ``serial`` and must agree with it.
     g = Graph(4, ((0, 1, 3), (0, 2, 1), (1, 2, 1), (1, 3, 2), (2, 3, 4)))
     th = ShortestPathTree(g, 0)
     for layer in enumerate_levels(th, 3):
@@ -184,16 +186,27 @@ def test_split_children_satisfy_tree_invariants():
             for ei in y.serial:
                 a, b, _ = g.edges[ei]
                 nodes.update((a, b))
-            assert y.nodes == frozenset(nodes)
             assert all(a < b for a, b in zip(y.serial, y.serial[1:]))
-            assert y.dist == tree_distances(g, frozenset(y.serial), 0)
-            assert y.cost == sum(d for v, d in y.dist.items())
+            dist = tree_distances(g, frozenset(y.serial), 0)
+            assert set(dist) == nodes and len(nodes) == y.level + 1
+            assert y.cost == sum(d for v, d in dist.items())
+            crossing = [
+                ei for ei, (a, b, _) in enumerate(g.edges) if (a in nodes) != (b in nodes)
+            ]
+            assert [ei for _, ei in th.child_moves(y)] == crossing
+            for inc, ei in th.child_moves(y):
+                a, b, w = g.edges[ei]
+                assert inc == dist[a if a in nodes else b] + w
+                assert th.apply_move(y, ei).cost == y.cost + inc
 
 
 def test_forest_component_cache_coherent():
+    # Components are derived from ``serial``; the joining edges and
+    # semi-congruence must follow the partition replayed here.
     g = Graph(4, ((0, 1, 3), (0, 2, 1), (1, 2, 1), (1, 3, 2), (2, 3, 4)))
     th = KruskalSpanningTree(g)
     for layer in enumerate_levels(th, 3):
+        comps = []
         for y in layer:
             comp = list(range(4))
             assert all(a < b for a, b in zip(y.serial, y.serial[1:]))
@@ -202,7 +215,15 @@ def test_forest_component_cache_coherent():
                 ca, cb = comp[a], comp[b]
                 lo, hi = min(ca, cb), max(ca, cb)
                 comp = [lo if c == hi else c for c in comp]
-            assert tuple(comp) == y.comp
+            assert y.cost == sum(g.edges[ei][2] for ei in y.serial)
+            joining = [
+                (w, ei) for ei, (a, b, w) in enumerate(g.edges) if comp[a] != comp[b]
+            ]
+            assert th.child_moves(y) == joining
+            comps.append(comp)
+        for y, cy in zip(layer, comps):
+            for o, co in zip(layer, comps):
+                assert th.semi_congruent(y, o) == (cy == co)
 
 
 def test_is_spanning_tree():
