@@ -18,6 +18,15 @@ Preparata).  Without one, both stages test pairs of members with
 ``dominates`` within each ``dominance_key`` group; that pairwise path is also
 the reference the keyed one is tested against.
 
+Dominance also reaches back across levels.  ``solve`` keeps one history per
+run of what each group kept at earlier levels, and ``filter_dominated``
+drops a member that an earlier level strictly dominates: its ``b`` is above
+the group's lowest earlier ``b`` (keyed), or an earlier survivor dominates it
+without being dominated back (pairwise).  Ties across levels survive.  A
+theory whose groups encode the level (knapsack, ``IdentityDominance``) is
+unaffected; for spsp a node's cheapest earlier path prunes every costlier
+path that reaches it later, as Dijkstra's labels do.
+
 When a theory declares ``strictly_ranked``, every level keeps exactly one
 child, the cheapest (canonical order breaking ties), so the pipeline
 collapses to the theory's ``greedy_walk``: it takes the greedy child level by
@@ -65,6 +74,8 @@ class SearchStats:
     generated: int
     duplicates_removed: int
     equivalence_merged: int
+    #: Children dropped as strictly dominated, by a member of their own
+    #: level or by what their group kept at an earlier level.
     dominated_pruned: int
     locals_found: int
     #: One (raw_width, undominated_width) pair per expanded level.
@@ -151,44 +162,74 @@ def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[An
     return reps, merged
 
 
-def filter_dominated(theory: ProblemTheory, reps: list[Any]) -> tuple[list[Any], int]:
+def filter_dominated(
+    theory: ProblemTheory, reps: list[Any], history: Optional[dict] = None
+) -> tuple[list[Any], int]:
     """Remove every member strictly dominated by another representative.
 
     ``reps`` must be free of mutual dominances, which makes survival
-    order-independent.  Survivors keep their input order.
+    order-independent.  Survivors keep their input order.  ``history`` holds
+    what earlier levels of one run left behind, per dominance group: the
+    lowest surviving ``b`` on the keyed path, every survivor on the pairwise
+    path.  A member strictly dominated by an earlier level is removed too,
+    and the level's survivors are added to ``history``; ``None`` starts an
+    empty one, as for a run's first level.
     """
+    if history is None:
+        history = {}
     if theory.equivalence_key is not None:
-        return _pareto_sweep(theory.equivalence_key, reps)
+        return _pareto_sweep(theory.equivalence_key, reps, history)
+    keys = [theory.dominance_key(y) for y in reps]
     groups: dict = {}
-    for y in reps:
-        groups.setdefault(theory.dominance_key(y), []).append(y)
-    survivors: list[Any] = []
-    pruned = 0
-    for y in reps:
-        group = groups[theory.dominance_key(y)]
-        if any(other is not y and theory.dominates(other, y) for other in group):
-            pruned += 1
-        else:
-            survivors.append(y)
-    return survivors, pruned
+    for y, k in zip(reps, keys):
+        groups.setdefault(k, []).append(y)
+    kept = [
+        (y, k)
+        for y, k in zip(reps, keys)
+        if not any(other is not y and theory.dominates(other, y) for other in groups[k])
+        and not any(
+            theory.dominates(o, y) and not theory.dominates(y, o)
+            for o in history.get(k, ())
+        )
+    ]
+    for y, k in kept:
+        history.setdefault(k, []).append(y)
+    return [y for y, _ in kept], len(reps) - len(kept)
 
 
-def _pareto_sweep(key: Callable[[Any], tuple], reps: list[Any]) -> tuple[list[Any], int]:
+#: Equal to no key's group, so a sweep's first member always opens a group.
+_NO_GROUP: Any = object()
+
+
+def _pareto_sweep(
+    key: Callable[[Any], tuple], reps: list[Any], history: dict
+) -> tuple[list[Any], int]:
     """``filter_dominated`` for dominance given as an ``equivalence_key`` order.
 
-    In ``(group, a, b)`` order a member is dominated exactly when an earlier
-    member of its group has a ``b`` no greater.  ``reduce_equivalent`` has
-    already merged equal keys, so the strict test is exact.
+    In ``(group, a, b)`` order a member is dominated within its level exactly
+    when an earlier member of its group has a ``b`` no greater.
+    ``reduce_equivalent`` has already merged equal keys, so the strict test
+    is exact.  A group that recurs across levels keeps one ``a``, so an
+    earlier level dominates a member exactly when the group's lowest
+    earlier ``b`` in ``history`` is strictly smaller; ties survive.
     """
     keys = [key(y) for y in reps]
     keep = [False] * len(reps)
-    group: Any = object()  # equal to no key's group, so the first is kept
+    group: Any = _NO_GROUP
     lowest: Any = None
     for i in sorted(range(len(reps)), key=keys.__getitem__):
         g, _, b = keys[i]
-        if g != group or b < lowest:
-            group, lowest = g, b
+        if g != group:
+            if group is not _NO_GROUP:
+                history[group] = lowest
+            group, earlier = g, history.get(g)
+            keep[i] = earlier is None or b <= earlier
+            lowest = b if keep[i] else earlier
+        elif b < lowest:
+            lowest = b
             keep[i] = True
+    if group is not _NO_GROUP:
+        history[group] = lowest
     survivors = [y for y, k in zip(reps, keep) if k]
     return survivors, len(reps) - len(survivors)
 
@@ -238,6 +279,7 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     generated = duplicates = merged = pruned = 0
     rows: list[tuple[int, int]] = []
     level = 0
+    history: dict = {}
 
     frontier = [theory.initial()]
 
@@ -270,7 +312,7 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
             children.sort(key=lambda y: y.serial)
             reps, n_merged = reduce_equivalent(theory, children)
             merged += n_merged
-            survivors, n_pruned = filter_dominated(theory, reps)
+            survivors, n_pruned = filter_dominated(theory, reps, history)
             pruned += n_pruned
 
             if config.mode is Mode.GREEDY and len(survivors) > 1:

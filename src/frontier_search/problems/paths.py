@@ -7,9 +7,9 @@ needed.  A solution is extractable as soon as the path's end node is the
 target.  Paths ending at the same node are compared by accumulated weight:
 the cheaper one dominates, which keeps the frontier no wider than the node
 count.  The relation deliberately ignores which interior nodes the paths
-visited.  That is stronger than what same-extension transfer justifies, so
-``semi_congruent`` additionally demands that the dominating path's node set
-is contained in the other's.
+visited, and how many edges they have.  That is stronger than what
+same-extension transfer justifies, so ``semi_congruent`` additionally
+demands that the dominating path's node set is contained in the other's.
 
 The stronger relation is still sound, given non-negative weights.  Take an
 optimal path P* with the fewest edges, and a same-level path y that ends at
@@ -18,6 +18,14 @@ the rest of P* is a simple path: otherwise it revisits a node, and cutting
 out the cycle (of weight >= 0) leaves a path that costs no more than P* and
 has fewer edges.  So y is the prefix of another optimal path with the fewest
 edges, and by induction over the levels one such path reaches the target.
+
+Across levels the engine drops only the strictly costlier path.  Let y end
+at v and cost strictly more than a path y' that reached v at an earlier
+level.  For any path P through y, y' followed by the rest of P, with its
+cycles cut, is a simple path that costs strictly less than P.  So y is a
+prefix of no optimal path, and the optima stay the same.  A tie is kept: the
+cut path then merely ties P, so y may still be the prefix of an optimum, and
+dropping it would drop that optimum from the result.
 """
 
 from __future__ import annotations
@@ -124,5 +132,6 @@ class SinglePairShortestPath(ProblemTheory):
 
     def equivalence_key(self, y: PathDescriptor) -> tuple[int, int, int]:
         # ``dominates`` compares cost alone within one end node, so equal
-        # end and cost is exactly mutual dominance.
+        # end and cost is exactly mutual dominance.  ``a`` is always 0, so a
+        # group that recurs at a later level is compared by cost alone.
         return (y.end, 0, y.cost)

@@ -70,14 +70,17 @@ class ProblemTheory(ABC):
     #: before it.
     strictly_ranked: bool = False
 
-    #: Optional map from descriptor to ``(group, a, b)`` such that, for two
-    #: same-level descriptors, ``dominates(y, o)`` holds exactly when both
-    #: have the same group, ``a(y) <= a(o)`` and ``b(y) <= b(o)``: dominance
-    #: is a 2-D order with both coordinates minimised, so negate one to
-    #: maximise it.  Equal keys are then exactly mutual dominance.  Keys must
-    #: be hashable and mutually orderable.  The engine merges equal keys and
-    #: filters dominated members with one sort and sweep; ``None`` makes both
-    #: stages fall back to pairwise ``dominates`` tests.
+    #: Optional map from descriptor to ``(group, a, b)`` such that, for any
+    #: two descriptors the search reaches, ``dominates(y, o)`` holds exactly
+    #: when both have the same group, ``a(y) <= a(o)`` and ``b(y) <= b(o)``:
+    #: dominance is a 2-D order with both coordinates minimised, so negate
+    #: one to maximise it.  Equal keys are then exactly mutual dominance.
+    #: Keys must be hashable and mutually orderable, and a group that recurs
+    #: across levels must keep one ``a``.  The engine merges equal keys and
+    #: filters dominated members with one sort and sweep per level, and drops
+    #: a member whose ``b`` is strictly above the lowest ``b`` its group kept
+    #: at an earlier level; ``None`` makes both stages fall back to pairwise
+    #: ``dominates`` tests.
     equivalence_key: Optional[Callable[[Any], tuple]] = None
 
     # -- space structure ---------------------------------------------------
@@ -161,14 +164,18 @@ class ProblemTheory(ABC):
 
         When true, every sequence of split moves that completes ``other``
         into a feasible solution can be replayed on ``y`` and completes it
-        too.  Only called on same-level descriptors (or whatever narrower
-        scope the concrete theory documents).  Default: canonical equality.
+        too.  May be called on any two descriptors the search reaches,
+        whether of one level or not (or on whatever narrower scope the
+        concrete theory documents).  Default: canonical equality.
         """
         return y.serial == other.serial
 
     def dominates(self, y: Any, other: Any) -> bool:
         """Pruning preorder: ``other`` may be dropped when ``y`` dominates it.
 
+        Within one level the engine drops ``other`` when ``y`` dominates it;
+        across levels, when an earlier-level survivor ``y`` dominates it and
+        ``other`` does not dominate ``y`` back, so cross-level ties are kept.
         Default implementation: semi-congruent and at least as cheap (flipped
         under maximization).  Problems may override with a stronger derived
         relation.

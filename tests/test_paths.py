@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from conftest import assert_stats_ledger
 
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
-from frontier_search.oracles import brute_force
+from frontier_search.cli import gen_graph
+from frontier_search.oracles import brute_force, shortest_path_ref
 from frontier_search.problems import Graph, SinglePairShortestPath
 from frontier_search.problems.graphs import InvalidNode
 
@@ -179,4 +180,42 @@ def test_solve_matches_brute_force_on_multigraphs(g, data):
     assert bool(result.optima) == (expected is not None)
     for z in result.optima:
         assert th.feasible(z) and th.cost(z) == expected
+    assert_stats_ledger(result.stats)
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+def test_cross_level_ties_are_kept(keyed):
+    # The level-2 path (1, 2) reaches node 2 at the cost of the level-1 path
+    # (0,); dropping that tie would drop the optimum (1, 2).
+    th = theory(Graph(3, ((0, 2, 0), (0, 1, 0), (1, 2, 0))))
+    if not keyed:
+        th.equivalence_key = None  # force the generic pairwise path
+    result = solve(th)
+    assert result.optima == {(0,), (1, 2)}
+    assert result.stats.dominated_pruned == 0
+    assert_stats_ledger(result.stats)
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+def test_cross_level_strictly_costlier_path_is_pruned(keyed):
+    # At level 2, (1, 2) reaches node 2 at cost 1, after the level-1 path
+    # (0,) reached it at cost 0; (0, 2) reaches node 1 at cost 0, below the
+    # level-1 path (1,) at cost 1, and survives.
+    th = theory(Graph(3, ((0, 2, 0), (0, 1, 1), (1, 2, 0))))
+    if not keyed:
+        th.equivalence_key = None  # force the generic pairwise path
+    result = solve(th)
+    assert result.optima == {(0,)} and result.optimal_cost == 0
+    assert result.stats.per_level_width == ((2, 2), (2, 1), (0, 0))
+    assert result.stats.dominated_pruned == 1
+    assert_stats_ledger(result.stats)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solve_matches_dijkstra_at_scale(seed):
+    g = gen_graph(1000, 0.01, 1000, seed)
+    th = theory(g, 0, 999)
+    result = solve(th)
+    assert result.optimal_cost == shortest_path_ref(g, 0)[999]
+    assert result.optima and all(th.feasible(z) for z in result.optima)
     assert_stats_ledger(result.stats)

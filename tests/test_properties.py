@@ -270,8 +270,10 @@ def test_default_combinator_subtree_soundness_for_paths_and_forests():
 def test_spsp_pairwise_unsoundness_is_harmless_in_level_search():
     # Same end node plus cheaper is NOT pairwise subtree-sound for simple
     # paths: the cheap prefix can block the only cheap completion.  The
-    # level-synchronized frontier search is still exact, because whenever that
-    # happens an equally cheap route survives elsewhere in the tree.
+    # frontier search, which compares paths within a level and drops a path
+    # strictly costlier than one that reached its end node at an earlier
+    # level, is still exact, because whenever that happens an equally cheap
+    # route survives elsewhere in the tree.
     g = Graph(
         6,
         (
