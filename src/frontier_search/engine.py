@@ -30,8 +30,8 @@ path that reaches it later, as Dijkstra's labels do.
 When a theory declares ``strictly_ranked``, every level keeps exactly one
 child, the cheapest (canonical order breaking ties), so the pipeline
 collapses to the theory's ``greedy_walk``: it takes the greedy child level by
-level without materializing the others, yields each level's candidate count,
-and returns the last descriptor it reaches.  A level of ``n`` candidates
+level without materializing the others, and returns each level's candidate
+count and the last descriptor it reaches.  A level of ``n`` candidates
 counts ``n`` generated, ``n - 1`` dominance-pruned and one survivor, and a
 level without candidates ends the walk with a ``(0, 0)`` row; locals are
 read off the returned descriptor only.  The outcome, including all
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 from .theory import Direction, ProblemTheory, Solution
@@ -116,24 +117,25 @@ def expand(theory: ProblemTheory, spaces: Iterable[Any]) -> list[Any]:
 
 
 def dedupe(children: Iterable[Any]) -> tuple[list[Any], int]:
-    """Drop canonical-equality duplicates, keeping first occurrences."""
-    seen: set[tuple[int, ...]] = set()
+    """Sort into canonical order and drop canonical-equality duplicates.
+
+    The sort is stable, so the first occurrence of each serial is kept.
+    Edge-set serials (the tree theories on this pipeline) interleave the
+    children of different parents, so expansion order alone is not canonical.
+    """
+    ordered = sorted(children, key=attrgetter("serial"))
     kept: list[Any] = []
-    removed = 0
-    for child in children:
-        if child.serial in seen:
-            removed += 1
-        else:
-            seen.add(child.serial)
+    for child in ordered:
+        if not kept or child.serial != kept[-1].serial:
             kept.append(child)
-    return kept, removed
+    return kept, len(ordered) - len(kept)
 
 
 def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[Any], int]:
     """Collapse mutual-dominance classes to their canonically smallest member.
 
-    ``spaces`` must be deduped and canonically sorted, so the first member
-    seen in each class is the one kept.
+    ``spaces`` must be deduped and canonically sorted, as ``dedupe`` leaves
+    them, so the first member seen in each class is the one kept.
     """
     merged = 0
     reps: list[Any] = []
@@ -284,19 +286,11 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     frontier = [theory.initial()]
 
     if theory.strictly_ranked:
-        walk = theory.greedy_walk(frontier[0], depth_bound)
-        while True:
-            try:
-                n_moves = next(walk)
-            except StopIteration as end:
-                frontier = [end.value]
-                break
-            level += 1
-            generated += n_moves
-            survived = 1 if n_moves else 0
-            pruned += n_moves - survived
-            rows.append((n_moves, survived))
-        found = collect_locals(theory, frontier)
+        counts, last = theory.greedy_walk(frontier[0], depth_bound)
+        rows = [(n_moves, min(n_moves, 1)) for n_moves in counts]
+        level, generated = len(rows), sum(counts)
+        pruned = generated - sum(survived for _, survived in rows)
+        found = collect_locals(theory, [last])
 
     else:
         found = collect_locals(theory, frontier)
@@ -307,9 +301,6 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
             generated += raw
             children, n_dup = dedupe(children)
             duplicates += n_dup
-            # Canonical order before reduction keeps the result independent
-            # of expansion interleaving.
-            children.sort(key=lambda y: y.serial)
             reps, n_merged = reduce_equivalent(theory, children)
             merged += n_merged
             survivors, n_pruned = filter_dominated(theory, reps, history)

@@ -33,11 +33,13 @@ differencing, the step Smith's KIDS applies after the global-search schema):
 rather than recompute the candidate moves at every level, the walk keeps
 them and updates them by the one element each level adds.  The rooted walk
 keeps the crossing edges in a lazy-deletion heap keyed ``(increment, edge
-index)``, Kruskal's keeps the edges sorted by ``(weight, edge index)`` behind
-a union-find, and both keep the level's move count up to date.  Only the
-last descriptor is built.  The walks pick the same child and count the same
-moves as ``child_moves`` at every level, so optima and every search
-statistic equal the default walk's, in O(m log n) time in place of O(n m).
+index)``.  Kruskal's tries the edges in ``(weight, edge index)`` order and
+keeps a component label per node, relabelling the smaller component on each
+merge (the weighted-union heuristic).  Both keep the level's move count up
+to date and return every level's count with the last descriptor, the only
+one they build.  The walks pick the same child and count the same moves as
+``child_moves`` at every level, so optima and every search statistic equal
+the default walk's, in O(m log n) time in place of O(n m).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Generator, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..theory import Direction, ProblemTheory
 from .graphs import Graph, InvalidNode, adjacency, require_connected
@@ -191,16 +193,18 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         dist = tree_distances(self.graph, edges, self.root)
         return {v: self._label(d) for v, d in dist.items()}
 
-    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
-        # The crossing edges, those with exactly one endpoint in the tree,
-        # in edge-index order.
-        labels = self._labels(y.serial)
-        moves = [
-            (labels[u] + w, ei)
+    def _crossing(self, labels: dict[int, int]) -> list[tuple[int, int, int]]:
+        """The edges with exactly one end in the tree ``labels`` spans, as
+        ``(increment, edge index, outside node)``."""
+        return [
+            (labels[u] + w, ei, v)
             for u in labels
             for ei, v, w in self._adj[u]
             if v not in labels
         ]
+
+    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
+        moves = [(inc, ei) for inc, ei, _ in self._crossing(self._labels(y.serial))]
         moves.sort(key=itemgetter(1))
         return moves
 
@@ -223,7 +227,7 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
 
     def greedy_walk(
         self, y: TreeDescriptor, depth: int
-    ) -> Generator[int, None, TreeDescriptor]:
+    ) -> tuple[list[int], TreeDescriptor]:
         # The crossing edges sit in a heap keyed (increment, ei, outside
         # node); an entry goes stale, and is skipped when popped, once its
         # outside node joins.  Attaching v turns v's edges to the inside
@@ -231,18 +235,14 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         # crossing edges, which keeps the move count without a rescan.
         adj = self._adj
         labels = self._labels(y.serial)
-        heap = [
-            (labels[u] + w, ei, v)
-            for u in labels
-            for ei, v, w in adj[u]
-            if v not in labels
-        ]
+        heap = self._crossing(labels)
         heapify(heap)
         crossing = len(heap)
+        counts: list[int] = []
         added: list[int] = []
         cost = y.cost
         for _ in range(depth):
-            yield crossing
+            counts.append(crossing)
             if not crossing:
                 break
             inc, ei, v = heappop(heap)
@@ -257,7 +257,7 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
                 else:
                     crossing += 1
                     heappush(heap, (label + w, ej, x))
-        return TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)
+        return counts, TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)
 
 
 class PrimSpanningTree(_TreeGrowthTheory):
@@ -313,45 +313,52 @@ class KruskalSpanningTree(_SpanningTreeTheory):
 
     def greedy_walk(
         self, y: TreeDescriptor, depth: int
-    ) -> Generator[int, None, TreeDescriptor]:
-        # Edges are tried in (weight, ei) order and skipped once union-find
-        # puts both ends in one component.  ``between[c]`` counts the edges
-        # from component c to each other one; a merge subtracts the pair's
-        # count from the joining-edge total and folds the smaller map into
-        # the larger.
+    ) -> tuple[list[int], TreeDescriptor]:
+        # Edges are tried in (weight, ei) order and skipped once both ends
+        # carry one label.  ``ring[v]`` is v's successor in its component's
+        # circular member list and ``far[v]`` the far ends of v's joining
+        # edges, as a tuple: the garbage collector stops tracking tuples of
+        # ints, while lists kept alive set off full collections.  A merge
+        # counts off the edges between its sides, then relabels the smaller.
         edges = self.graph.edges
-        parent = _components(self.graph, y.serial)  # each root labels itself
-        between: dict[int, dict[int, int]] = {c: {} for c in parent}
-        joining = 0
+        comp = _components(self.graph, y.serial)
+        ring, size = list(range(len(comp))), [0] * len(comp)
+        for v, c in enumerate(comp):  # c, the smallest member, comes first
+            size[c] += 1
+            ring[v], ring[c] = ring[c], v
+        far: list = [[] for _ in comp]
         for a, b, _ in edges:
-            ca, cb = parent[a], parent[b]
-            if ca != cb:
-                joining += 1
-                between[ca][cb] = between[ca].get(cb, 0) + 1
-                between[cb][ca] = between[cb].get(ca, 0) + 1
+            if comp[a] != comp[b]:
+                far[a].append(b)
+                far[b].append(a)
+        far = [tuple(ends) for ends in far]
+        joining = sum(map(len, far)) // 2
         order = iter(sorted((w, ei) for ei, (_, _, w) in enumerate(edges)))
+        counts: list[int] = []
         added: list[int] = []
         cost = y.cost
         for _ in range(depth):
-            yield joining
+            counts.append(joining)
             if not joining:
                 break
             for w, ei in order:
                 a, b, _ = edges[ei]
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra != rb:
+                if comp[a] != comp[b]:
                     break
-            if len(between[ra]) > len(between[rb]):
-                ra, rb = rb, ra
-            small, large = between.pop(ra), between[rb]
-            joining -= small.pop(rb)
-            del large[ra]
-            for c, k in small.items():
-                links = between[c]
-                del links[ra]
-                links[rb] = links.get(rb, 0) + k
-                large[c] = large.get(c, 0) + k
-            parent[ra] = rb
+            small, large = comp[a], comp[b]
+            if size[small] > size[large]:
+                small, large = large, small
+            moved = [small]
+            while ring[moved[-1]] != small:
+                moved.append(ring[moved[-1]])
+            for v in moved:
+                for x in far[v]:
+                    if comp[x] == large:
+                        joining -= 1
+            for v in moved:
+                comp[v] = large
+            ring[small], ring[large] = ring[large], ring[small]
+            size[large] += size[small]
             added.append(ei)
             cost += w
-        return TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)
+        return counts, TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)

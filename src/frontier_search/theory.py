@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Any, Callable, Generator, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 
 class Direction(Enum):
@@ -64,10 +64,10 @@ class ProblemTheory(ABC):
     #: True when ``dominates`` is a total strict ranking on the children of
     #: any one frontier member, keyed by ``(partial_cost, serial)``.  The
     #: engine then keeps exactly one child per level (the greedy choice):
-    #: it runs ``greedy_walk`` in place of its pipeline, and reads the
-    #: locals of the search off the walk's last descriptor only, so
-    #: ``extract`` must be ``None`` on every descriptor the walk passes
-    #: before it.
+    #: it runs ``greedy_walk`` in place of its pipeline, books each level
+    #: from the move counts the walk returns, and reads the locals of the
+    #: search off the walk's last descriptor only, so ``extract`` must be
+    #: ``None`` on every descriptor the walk passes before it.
     strictly_ranked: bool = False
 
     #: Optional map from descriptor to ``(group, a, b)`` such that, for any
@@ -107,29 +107,30 @@ class ProblemTheory(ABC):
         """All immediate subspaces of ``y``, in canonical order."""
         return [self.apply_move(y, move) for _, move in self.child_moves(y)]
 
-    def greedy_walk(self, y: Any, depth: int) -> Generator[int, None, Any]:
+    def greedy_walk(self, y: Any, depth: int) -> tuple[list[int], Any]:
         """Take the cheapest child level by level, for ``strictly_ranked``.
 
-        Starting at ``y``, for each of at most ``depth`` levels: yield the
-        number of the current descriptor's child moves, stop if it is zero,
-        and otherwise move to the child of the smallest ``(increment,
-        move)``, which for move-per-element serializations is the
-        canonically smallest of the cheapest children.  Returns the last
-        descriptor reached.
+        Starting at ``y``, for each of at most ``depth`` levels: count the
+        current descriptor's child moves, stop if there are none, and
+        otherwise move to the child of the smallest ``(increment, move)``,
+        which for move-per-element serializations is the canonically
+        smallest of the cheapest children.  Returns each level's move count
+        and the last descriptor reached.
 
         Default: ``child_moves``, ``min`` and ``apply_move`` at every level.
         A theory may override it with an incremental walk that keeps its
-        candidates between levels; it must yield the same counts and return
-        a descriptor with the same fields.
+        candidates between levels; it must return the same counts and a
+        descriptor with the same fields.
         """
+        counts: list[int] = []
         for _ in range(depth):
             moves = self.child_moves(y)
-            yield len(moves)
+            counts.append(len(moves))
             if not moves:
                 break
             _, move = min(moves)
             y = self.apply_move(y, move)
-        return y
+        return counts, y
 
     @abstractmethod
     def extract(self, y: Any) -> Optional[Solution]:

@@ -59,12 +59,23 @@ def test_expand_binary_split_width_two():
 # -- dedupe -----------------------------------------------------------------
 
 
-def test_dedupe_keeps_first_occurrence():
+def test_dedupe_keeps_first_occurrence(weighted_triangle):
     th = knapsack3()
     a, b = th.split(th.initial())
     kept, removed = dedupe([a, a, b])
     assert [k.serial for k in kept] == [a.serial, b.serial]
     assert removed == 1
+    # Out of canonical order, with a non-adjacent duplicate made of two
+    # distinct objects: the output is canonical and keeps the first one.
+    th = KruskalSpanningTree(weighted_triangle)
+    root = th.initial()
+    via_01 = th.apply_move(th.apply_move(root, 0), 1)
+    via_10 = th.apply_move(th.apply_move(root, 1), 0)
+    assert via_01 is not via_10 and via_01.serial == via_10.serial
+    only_0, only_2 = th.apply_move(root, 0), th.apply_move(root, 2)
+    kept, removed = dedupe([only_2, via_01, only_0, via_10])
+    assert [k.serial for k in kept] == [(0,), (0, 1), (2,)]
+    assert kept[1] is via_01 and removed == 1
 
 
 def test_dedupe_disjoint_unchanged():

@@ -278,16 +278,6 @@ def tied_multigraphs(draw):
     return Graph(n, edges)
 
 
-def run_walk(th, depth):
-    """Each level's move count and the last descriptor of a greedy walk."""
-    walk, counts = th.greedy_walk(th.initial(), depth), []
-    try:
-        while True:
-            counts.append(next(walk))
-    except StopIteration as end:
-        return counts, end.value
-
-
 @given(
     tied_multigraphs(),
     st.sampled_from(sorted(TREE_THEORIES)),
@@ -305,13 +295,31 @@ def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth,
     # Past the spanning tree both walks stop at a level without moves.
     walk_depth = g.n + 1 if depth_bound is None else depth_bound
     (counts, last), (default_counts, default_last) = (
-        run_walk(th, walk_depth) for th in theories[:2])
+        th.greedy_walk(th.initial(), walk_depth) for th in theories[:2])
+    assert counts == default_counts and vars(last) == vars(default_last)
+
+
+@given(tied_multigraphs(), st.sampled_from(sorted(TREE_THEORIES)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_greedy_walk_started_mid_run_equals_default_walk(g, problem, data):
+    # The walks read their starting state (components, labels) off ``y``;
+    # start them after k default steps rather than at ``initial()``.
+    fast, default, _ = walk_variants(problem, g)
+    k = data.draw(st.integers(0, max(g.n - 1, 0)))
+    _, y = default.greedy_walk(default.initial(), k)
+    assert y.level == k
+    counts, last = fast.greedy_walk(y, g.n + 1)
+    default_counts, default_last = default.greedy_walk(y, g.n + 1)
     assert counts == default_counts and vars(last) == vars(default_last)
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
 def test_greedy_walk_matches_default_walk_at_scale(problem):
-    for n, density, seed in ((300, 0.05, 1), (500, 0.02, 2), (800, 0.008, 3)):
+    # Sparse graphs, and one dense graph whose merges join multi-node
+    # components along many edges.
+    for n, density, seed in (
+        (300, 0.05, 1), (500, 0.02, 2), (800, 0.008, 3), (150, 0.5, 4)
+    ):
         fast, default, _ = walk_variants(problem, gen_graph(n, density, 50, seed))
         result = solve(fast, GREEDY)
         assert result == solve(default, GREEDY)
