@@ -1,17 +1,19 @@
 """0-1 knapsack: maximize utility within a weight capacity.
 
 Partial solutions decide items in index order, so a descriptor is a prefix
-of in/out bits.  Prefixes that decided the same items compare by weight and
-utility: lighter-and-at-least-as-useful dominates, which is exactly the
-default semi-congruence-plus-cost rule under maximization.  The undominated
-frontier is the strict Pareto front over (weight, utility), at most one
-entry per distinct reachable weight.
+of in/out bits, stored as an immutable tuple with its weight, utility and
+level (the prefix length).  Prefixes that decided the same items compare by
+weight and utility: lighter-and-at-least-as-useful dominates, which is
+exactly the default semi-congruence-plus-cost rule under maximization.  The
+undominated frontier is the strict Pareto front over (weight, utility), at
+most one entry per distinct reachable weight, so at most ``capacity + 1``
+survivors per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
 
@@ -33,17 +35,13 @@ class KnapsackInstance:
         return len(self.items)
 
 
-@dataclass(frozen=True, eq=False)
-class KnapsackDescriptor:
+class KnapsackDescriptor(NamedTuple):
     """Decisions for the first ``level`` items, one bit per item."""
 
     serial: tuple[int, ...]  # 0 = out, 1 = in
     weight: int
     utility: int
-
-    @property
-    def level(self) -> int:
-        return len(self.serial)
+    level: int  # len(serial)
 
 
 class Knapsack(ProblemTheory):
@@ -53,41 +51,45 @@ class Knapsack(ProblemTheory):
 
     def __init__(self, instance: KnapsackInstance):
         self.instance = instance
+        # Plain attributes: the search reads them for every descriptor.
+        self.items = instance.items
+        self.n = len(instance.items)
+        self.capacity = instance.capacity
 
     def initial(self) -> KnapsackDescriptor:
-        return KnapsackDescriptor((), 0, 0)
+        return KnapsackDescriptor((), 0, 0, 0)
 
     def child_moves(self, y: KnapsackDescriptor) -> list[tuple[int, int]]:
         k = y.level
-        if k == self.instance.n:
+        if k == self.n:
             return []
-        w, u = self.instance.items[k]
-        moves = [(0, 0)]
-        if y.weight + w <= self.instance.capacity:
-            moves.append((u, 1))
-        return moves
+        w, u = self.items[k]
+        if y.weight + w <= self.capacity:
+            return [(0, 0), (u, 1)]
+        return [(0, 0)]
 
     def apply_move(self, y: KnapsackDescriptor, move: int) -> KnapsackDescriptor:
-        w, u = self.instance.items[y.level]
+        serial, weight, utility, k = y
         if move:
-            return KnapsackDescriptor(y.serial + (1,), y.weight + w, y.utility + u)
-        return KnapsackDescriptor(y.serial + (0,), y.weight, y.utility)
+            w, u = self.items[k]
+            return KnapsackDescriptor(serial + (1,), weight + w, utility + u, k + 1)
+        return KnapsackDescriptor(serial + (0,), weight, utility, k + 1)
 
     def extract(self, y: KnapsackDescriptor) -> Optional[frozenset[int]]:
-        if y.level != self.instance.n:
+        if y.level != self.n:
             return None
         return frozenset(i for i, bit in enumerate(y.serial) if bit)
 
     def max_depth(self) -> int:
-        return self.instance.n
+        return self.n
 
     def feasible(self, z: frozenset[int]) -> bool:
-        if any(not 0 <= i < self.instance.n for i in z):
+        if any(not 0 <= i < self.n for i in z):
             return False
-        return sum(self.instance.items[i][0] for i in z) <= self.instance.capacity
+        return sum(self.items[i][0] for i in z) <= self.capacity
 
     def cost(self, z: frozenset[int]) -> int:
-        return sum(self.instance.items[i][1] for i in z)
+        return sum(self.items[i][1] for i in z)
 
     def partial_cost(self, y: KnapsackDescriptor) -> int:
         return y.utility

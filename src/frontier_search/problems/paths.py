@@ -1,15 +1,17 @@
 """Single-pair shortest path over simple paths.
 
 A partial solution is a simple path growing edge by edge from the source
-node.  Its descriptor stores the path once, as its edges in walk order plus
-its end node and weight; the node set is derived from the edges where it is
-needed.  A solution is extractable as soon as the path's end node is the
-target.  Paths ending at the same node are compared by accumulated weight:
-the cheaper one dominates, which keeps the frontier no wider than the node
-count.  The relation deliberately ignores which interior nodes the paths
-visited, and how many edges they have.  That is stronger than what
-same-extension transfer justifies, so ``semi_congruent`` additionally
-demands that the dominating path's node set is contained in the other's.
+node.  Its descriptor, an immutable tuple, stores the path once, as its
+edges in walk order plus its end node, weight and level (the edge count);
+the node set is derived from the edges where it is needed.  A solution is
+extractable as soon as the path's end node is the target.  Paths ending at
+the same node are compared by accumulated weight: the cheaper one
+dominates, which keeps at most one survivor per end node, so the frontier
+is never wider than the node count ``n``.  The relation deliberately
+ignores which interior nodes the paths visited, and how many edges they
+have.  That is stronger than what same-extension transfer justifies, so
+``semi_congruent`` additionally demands that the dominating path's node set
+is contained in the other's.
 
 The stronger relation is still sound, given non-negative weights.  Take an
 optimal path P* with the fewest edges, and a same-level path y that ends at
@@ -30,24 +32,19 @@ dropping it would drop that optimum from the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
 from .graphs import Graph, InvalidNode, adjacency
 
 
-@dataclass(frozen=True, eq=False)
-class PathDescriptor:
+class PathDescriptor(NamedTuple):
     """Simple path from the source, as a sequence of edge indices."""
 
     serial: tuple[int, ...]  # edge indices in walk order
     end: int
     cost: int
-
-    @property
-    def level(self) -> int:
-        return len(self.serial)
+    level: int  # len(serial)
 
 
 class SinglePairShortestPath(ProblemTheory):
@@ -67,7 +64,7 @@ class SinglePairShortestPath(ProblemTheory):
         self._adj = adjacency(graph)
 
     def initial(self) -> PathDescriptor:
-        return PathDescriptor((), self.source, 0)
+        return PathDescriptor((), self.source, 0, 0)
 
     def _nodes(self, y: PathDescriptor) -> set[int]:
         """The nodes on the path: the source plus both ends of every edge."""
@@ -87,8 +84,11 @@ class SinglePairShortestPath(ProblemTheory):
         return [(w, ei) for ei, other, w in self._adj[y.end] if other not in visited]
 
     def apply_move(self, y: PathDescriptor, move: int) -> PathDescriptor:
+        serial, end, cost, level = y
         a, b, w = self.graph.edges[move]
-        return PathDescriptor(y.serial + (move,), b if y.end == a else a, y.cost + w)
+        return PathDescriptor(
+            serial + (move,), b if end == a else a, cost + w, level + 1
+        )
 
     def extract(self, y: PathDescriptor) -> Optional[tuple[int, ...]]:
         return y.serial if y.end == self.target else None

@@ -2,14 +2,15 @@
 
 All three theories here derive from one base and share one descriptor,
 ``TreeDescriptor``: a partial solution is an acyclic edge set, stored once
-as its sorted edge indices plus its running cost, that grows by one edge per
-level until it spans the graph.  Node sets, root-path costs and components
-are derived from that edge set by the theory that needs them.  The dominance
-relation is a strict ranking of the children of a common parent, so the
-undominated frontier always has width one (the greedy choice).  Ranking
-compares ``(partial_cost, serial)``, which for children of one parent is
-exactly "cheapest added element, smallest edge index on ties".  The
-derivations differ in small systematic changes:
+in an immutable tuple as its sorted edge indices plus its running cost and
+level (the edge count), that grows by one edge per level until it spans the
+graph.  Node sets, root-path costs and components are derived from that
+edge set by the theory that needs them.  The dominance relation is a strict
+ranking of the children of a common parent, so the undominated frontier
+always has width one (the greedy choice).  Ranking compares
+``(partial_cost, serial)``, which for children of one parent is exactly
+"cheapest added element, smallest edge index on ties".  The derivations
+differ in small systematic changes:
 
 * minimum spanning tree, forest variant: merge components along the lightest
   edge joining two of them (Kruskal's scheme);
@@ -45,25 +46,20 @@ the default walk's, in O(m log n) time in place of O(n m).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
 from .graphs import Graph, InvalidNode, adjacency, require_connected
 
 
-@dataclass(frozen=True, eq=False)
-class TreeDescriptor:
+class TreeDescriptor(NamedTuple):
     """Acyclic edge set, as its sorted edge indices and running cost."""
 
     serial: tuple[int, ...]  # sorted edge indices
     cost: int
-
-    @property
-    def level(self) -> int:
-        return len(self.serial)
+    level: int  # len(serial)
 
 
 def _with_edge(serial: tuple[int, ...], ei: int) -> tuple[int, ...]:
@@ -127,7 +123,7 @@ class _SpanningTreeTheory(ProblemTheory):
         self.graph = graph
 
     def initial(self) -> TreeDescriptor:
-        return TreeDescriptor((), 0)
+        return TreeDescriptor((), 0, 0)
 
     def extract(self, y: TreeDescriptor) -> Optional[frozenset[int]]:
         return frozenset(y.serial) if y.level == self.graph.n - 1 else None
@@ -212,7 +208,9 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         a, b, w = self.graph.edges[move]
         labels = self._labels(y.serial)
         inside = a if a in labels else b
-        return TreeDescriptor(_with_edge(y.serial, move), y.cost + labels[inside] + w)
+        return TreeDescriptor(
+            _with_edge(y.serial, move), y.cost + labels[inside] + w, y.level + 1
+        )
 
     def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # Equal reached-node sets leave identical crossing-edge choices, so
@@ -257,7 +255,9 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
                 else:
                     crossing += 1
                     heappush(heap, (label + w, ej, x))
-        return counts, TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)
+        return counts, TreeDescriptor(
+            tuple(sorted(y.serial + tuple(added))), cost, y.level + len(added)
+        )
 
 
 class PrimSpanningTree(_TreeGrowthTheory):
@@ -302,7 +302,7 @@ class KruskalSpanningTree(_SpanningTreeTheory):
 
     def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
         return TreeDescriptor(
-            _with_edge(y.serial, move), y.cost + self.graph.edges[move][2]
+            _with_edge(y.serial, move), y.cost + self.graph.edges[move][2], y.level + 1
         )
 
     def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
@@ -361,4 +361,6 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             size[large] += size[small]
             added.append(ei)
             cost += w
-        return counts, TreeDescriptor(tuple(sorted(y.serial + tuple(added))), cost)
+        return counts, TreeDescriptor(
+            tuple(sorted(y.serial + tuple(added))), cost, y.level + len(added)
+        )

@@ -6,7 +6,7 @@ only ever talks to this interface; everything problem-specific (what a
 descriptor is, how it splits, when a complete solution can be read off, how
 partial solutions dominate each other) lives in the theory object.
 
-Descriptors must expose two attributes:
+Descriptors are immutable values and must expose two attributes:
 
 ``serial``
     A tuple of ints that canonically serializes the descriptor.  Two
@@ -15,7 +15,14 @@ Descriptors must expose two attributes:
     for deterministic tie-breaking throughout the engine.
 
 ``level``
-    Number of splits separating the descriptor from the initial space.
+    Number of splits separating the descriptor from the initial space.  It
+    may be a stored field: ``apply_move`` then sets it to its parent's plus
+    one, and a ``greedy_walk`` to its start's plus the moves it took.
+
+The engine compares descriptors only by ``serial`` or by identity, never as
+whole values, so a descriptor may be a ``NamedTuple`` even though tuples
+compare field by field.  The shipped theories' descriptors are, because a
+tuple is cheap to build and to read.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,11 +325,17 @@ def test_dominance_key_sound_partition():
 
 
 def test_level_increments_by_one_per_split():
+    # ``level`` is stored, so it must agree with the serial it counts, and a
+    # descriptor is an immutable value: none of its fields can be assigned.
     for theory in path_theories(2) + tree_theories(2) + knapsack_theories(2):
         root = theory.initial()
         assert root.level == 0
         for layer in enumerate_levels(theory):
             for y in layer:
+                assert y.level == len(y.serial)
+                for field in ("serial", "level"):
+                    with pytest.raises(AttributeError):
+                        setattr(y, field, getattr(y, field))
                 for child in theory.split(y):
                     assert child.level == y.level + 1
 
@@ -374,13 +381,23 @@ def test_knapsack_descriptor_caches_coherent():
                 assert y.weight <= theory.instance.capacity
 
 
+def frontier_width_bound(theory):
+    """The undominated frontier width per level that the theory documents."""
+    if isinstance(theory, Knapsack):
+        return theory.instance.capacity + 1  # one survivor per distinct weight
+    if isinstance(theory, SinglePairShortestPath):
+        return theory.graph.n  # one survivor per end node
+    return 1  # the tree theories keep the greedy child alone
+
+
 def test_pruning_conservativeness():
-    # Disabling dominance entirely must not change the optimal cost.
+    # Disabling dominance entirely must not change the optimal cost, and
+    # with it every level stays within the theory's width bound.
     for theory in path_theories(4) + tree_theories(3) + knapsack_theories(4):
-        assert (
-            solve(theory).optimal_cost
-            == solve(IdentityDominance(theory)).optimal_cost
-        )
+        result = solve(theory)
+        assert result.optimal_cost == solve(IdentityDominance(theory)).optimal_cost
+        bound = frontier_width_bound(theory)
+        assert all(undom <= bound for _, undom in result.stats.per_level_width)
 
 
 def test_spsp_frontier_width_bounded_by_node_count():
