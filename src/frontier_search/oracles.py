@@ -3,7 +3,10 @@
 Nothing here shares code with the engine pipeline: the exhaustive searcher
 expands the raw split tree with duplicate removal only (no dominance), and
 the classical references are textbook algorithms over the plain instance
-types.  Expansion caps make oversized inputs fail loudly instead of hanging.
+types.  The exhaustive searcher and the completion enumerator have
+expansion caps, and the knapsack DP a table cap, so oversized inputs fail
+loudly with ``CapExceeded`` instead of hanging.  The CLI checks every
+problem against a classical reference only.
 """
 
 from __future__ import annotations
@@ -12,15 +15,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .problems.graphs import Graph, GraphDisconnected, adjacency, require_connected
+from .problems.graphs import Graph, adjacency, require_connected
 from .problems.knapsack import KnapsackInstance
 from .theory import ProblemTheory
 
 DEFAULT_EXPANSION_CAP = 1_000_000
-
-
-class ExpansionCapExceeded(RuntimeError):
-    pass
 
 
 class CapExceeded(RuntimeError):
@@ -39,18 +38,15 @@ class OracleResult:
 
 
 def brute_force(
-    theory: ProblemTheory,
-    depth_bound: Optional[int] = None,
-    expansion_cap: int = DEFAULT_EXPANSION_CAP,
+    theory: ProblemTheory, *, expansion_cap: int = DEFAULT_EXPANSION_CAP
 ) -> OracleResult:
     """Exact optimum by full expansion of the split tree, no pruning.
 
     Only exact duplicates (canonically equal descriptors) are removed, so
     this visits every reachable space once and its feasible extractions are
-    the complete feasible set within the depth bound.
+    the complete feasible set within ``theory.max_depth()``.
     """
-    if depth_bound is None:
-        depth_bound = theory.max_depth()
+    depth = theory.max_depth()
     better = theory.direction.better
 
     best_cost: Optional[int] = None
@@ -58,7 +54,7 @@ def brute_force(
     expanded = 0
 
     frontier = {theory.initial().serial: theory.initial()}
-    for level in range(depth_bound + 1):
+    for level in range(depth + 1):
         for y in frontier.values():
             z = theory.extract(y)
             if z is not None and theory.feasible(z):
@@ -67,16 +63,14 @@ def brute_force(
                     best_cost, best = c, {z}
                 elif c == best_cost:
                     best.add(z)
-        if level == depth_bound or not frontier:
+        if level == depth or not frontier:
             break
         nxt: dict[tuple[int, ...], Any] = {}
         for y in frontier.values():
             children = theory.split(y)
             expanded += len(children)
             if expanded > expansion_cap:
-                raise ExpansionCapExceeded(
-                    f"more than {expansion_cap} nodes generated"
-                )
+                raise CapExceeded(f"more than {expansion_cap} nodes generated")
             for child in children:
                 nxt.setdefault(child.serial, child)
         frontier = nxt
@@ -111,17 +105,14 @@ def enumerate_extensions(
             for _, move in theory.child_moves(desc):
                 expanded += 1
                 if expanded > expansion_cap:
-                    raise ExpansionCapExceeded(
-                        f"more than {expansion_cap} nodes generated"
-                    )
+                    raise CapExceeded(f"more than {expansion_cap} nodes generated")
                 nxt.append((theory.apply_move(desc, move), moves + (move,)))
         layer = nxt
     return out
 
 
-def shortest_path_ref(g: Graph, source: int) -> dict[int, int]:
-    """Single-source distances by the standard label-setting method."""
-    require_connected(g)
+def distances(g: Graph, source: int) -> dict[int, int]:
+    """Distance to every node ``source`` reaches, by label setting."""
     adj = adjacency(g)
     dist: dict[int, int] = {}
     heap = [(0, source)]
@@ -133,9 +124,13 @@ def shortest_path_ref(g: Graph, source: int) -> dict[int, int]:
         for _, v, w in adj[u]:
             if v not in dist:
                 heapq.heappush(heap, (d + w, v))
-    if len(dist) != g.n:
-        raise GraphDisconnected("source does not reach every node")
     return dist
+
+
+def shortest_path_ref(g: Graph, source: int) -> dict[int, int]:
+    """Single-source distances to every node of a connected graph."""
+    require_connected(g)
+    return distances(g, source)
 
 
 def mst_ref(g: Graph) -> int:

@@ -234,6 +234,8 @@ def test_json_runs_byte_identical(tmp_path, capsys):
 def test_compare_agrees(tmp_path, capsys):
     for problem, text, extra in [
         ("spsp", TRIANGLE_TEXT, ["--target", "2"]),
+        # Disconnected, but the target is reachable: no GraphDisconnected.
+        ("spsp", "4 2\n0 1 1\n2 3 1\n", ["--target", "1"]),
         ("sssp", TRIANGLE_TEXT, []),
         ("mst-prim", TRIANGLE_TEXT, []),
         ("mst-kruskal", TRIANGLE_TEXT, []),
@@ -293,16 +295,12 @@ def test_exhaustive_mode_recovers_from_greedy_violation(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli.oracles, "DEFAULT_EXPANSION_CAP", 1)
-    real = cli.oracles.brute_force
+    real = cli.oracles.knapsack_dp_ref
     monkeypatch.setattr(
-        cli.oracles, "brute_force", lambda th: real(th, expansion_cap=1)
+        cli.oracles, "knapsack_dp_ref", lambda inst: real(inst, cell_cap=1)
     )
-    path = write(tmp_path, "tri.graph", TRIANGLE_TEXT)
-    code, _, err = run_main(
-        capsys,
-        ["compare", "--problem", "spsp", "--input", path, "--target", "2"],
-    )
+    path = write(tmp_path, "k.txt", KNAP_TEXT)
+    code, _, err = run_main(capsys, ["compare", "--problem", "knapsack", "--input", path])
     assert code == 4 and "cap exceeded" in err
 
 
@@ -365,3 +363,14 @@ def test_unreachable_target_reports_null_cost(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["optimal_cost"] is None and payload["agree"] is True
+
+
+def test_compare_spsp_on_a_1000_node_graph(tmp_path, capsys):
+    # Dijkstra is the reference, so compare scales as far as the engine does.
+    path = write(tmp_path, "g.graph", render_graph(gen_graph(1000, 0.01, 1000, 1)))
+    code, out, _ = run_main(
+        capsys,
+        ["compare", "--problem", "spsp", "--input", path, "--source", "0",
+         "--target", "999"],
+    )
+    assert code == 0 and "agree: yes" in out

@@ -2,8 +2,8 @@ import pytest
 
 from frontier_search.oracles import (
     CapExceeded,
-    ExpansionCapExceeded,
     brute_force,
+    distances,
     enumerate_extensions,
     knapsack_dp_ref,
     mst_ref,
@@ -50,7 +50,7 @@ def test_brute_force_counts_equal_optima(diamond):
 
 def test_brute_force_cap():
     th = Knapsack(KnapsackInstance(100, ((1, 1),) * 12))
-    with pytest.raises(ExpansionCapExceeded):
+    with pytest.raises(CapExceeded):
         brute_force(th, expansion_cap=50)
 
 
@@ -65,6 +65,13 @@ def test_shortest_path_ref_single_node():
 def test_shortest_path_ref_star():
     g = Graph(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1)))
     assert shortest_path_ref(g, 0) == {0: 0, 1: 1, 2: 1, 3: 1}
+
+
+def test_distances_cover_only_reached_nodes():
+    g = Graph(5, ((0, 1, 2), (1, 2, 3), (3, 4, 1)))
+    assert distances(g, 0) == {0: 0, 1: 2, 2: 5}
+    assert distances(g, 4) == {4: 0, 3: 1}
+    assert distances(Graph(1, ()), 0) == {0: 0}
 
 
 def test_shortest_path_ref_rejects_disconnected():
@@ -124,7 +131,7 @@ def test_enumerate_extensions_midway(triangle):
 
 def test_enumerate_extensions_cap(diamond):
     th = SinglePairShortestPath(diamond, 0, 3)
-    with pytest.raises(ExpansionCapExceeded):
+    with pytest.raises(CapExceeded):
         enumerate_extensions(th, th.initial(), 4, expansion_cap=2)
 
 
