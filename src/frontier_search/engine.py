@@ -28,7 +28,7 @@ unaffected; for spsp a node's cheapest earlier path prunes every costlier
 path that reaches it later, as Dijkstra's labels do.
 
 When a theory declares ``strictly_ranked``, every level keeps exactly one
-child, the cheapest (canonical order breaking ties), so the pipeline
+child, the cheapest (the theory's ranking breaking ties), so the pipeline
 collapses to the theory's ``greedy_walk``: it takes the greedy child level by
 level without materializing the others, and returns each level's candidate
 count and the last descriptor it reaches.  A level of ``n`` candidates
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 from .theory import Direction, ProblemTheory, Solution
@@ -117,40 +116,35 @@ def expand(theory: ProblemTheory, spaces: Iterable[Any]) -> list[Any]:
 
 
 def dedupe(children: Iterable[Any]) -> tuple[list[Any], int]:
-    """Sort into canonical order and drop canonical-equality duplicates.
+    """Drop canonical-equality duplicates, keeping each serial's first child.
 
-    The sort is stable, so the first occurrence of each serial is kept.
-    Edge-set serials (the tree theories on this pipeline) interleave the
-    children of different parents, so expansion order alone is not canonical.
+    Survivors keep their input order, so the level stays in canonical
+    order.  Serials are hashed, never ordered.
     """
-    ordered = sorted(children, key=attrgetter("serial"))
-    kept: list[Any] = []
-    for child in ordered:
-        if not kept or child.serial != kept[-1].serial:
-            kept.append(child)
-    return kept, len(ordered) - len(kept)
+    first: dict = {}
+    n = 0
+    for n, child in enumerate(children, 1):
+        first.setdefault(child.serial, child)
+    return list(first.values()), n - len(first)
 
 
 def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[Any], int]:
-    """Collapse mutual-dominance classes to their canonically smallest member.
+    """Collapse mutual-dominance classes to their first member.
 
-    ``spaces`` must be deduped and canonically sorted, as ``dedupe`` leaves
-    them, so the first member seen in each class is the one kept.
+    ``spaces`` must be deduped, as ``dedupe`` leaves them.  Survivors keep
+    their input order, and each class is represented by its first member in
+    that order: in the engine, the first generated.
     """
-    merged = 0
-    reps: list[Any] = []
-    if theory.equivalence_key is not None:
-        seen_keys: set = set()
+    key = theory.equivalence_key
+    if key is not None:
+        reps_by_key: dict = {}
         for y in spaces:
-            k = theory.equivalence_key(y)
-            if k in seen_keys:
-                merged += 1
-            else:
-                seen_keys.add(k)
-                reps.append(y)
-        return reps, merged
+            reps_by_key.setdefault(key(y), y)
+        return list(reps_by_key.values()), len(spaces) - len(reps_by_key)
     # Pairwise fallback: compare against the representative of every class
     # found so far within the same dominance-key group.
+    merged = 0
+    reps: list[Any] = []
     groups: dict = {}
     for y in spaces:
         group = groups.setdefault(theory.dominance_key(y), [])

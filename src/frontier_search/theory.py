@@ -10,9 +10,11 @@ Descriptors are immutable values and must expose two attributes:
 
 ``serial``
     A tuple of ints that canonically serializes the descriptor.  Two
-    descriptors denote the same search space iff their serials are equal,
-    and the lexicographic order on serials is the canonical total order used
-    for deterministic tie-breaking throughout the engine.
+    descriptors denote the same search space iff their serials are equal;
+    the engine hashes serials but never orders them.  Its canonical order
+    is the order the search generates descriptors in: the frontier's
+    order, then each member's ``child_moves`` order.  Each pipeline stage
+    keeps that order and, among tied members, the first.
 
 ``level``
     Number of splits separating the descriptor from the initial space.  It
@@ -119,10 +121,10 @@ class ProblemTheory(ABC):
 
         Starting at ``y``, for each of at most ``depth`` levels: count the
         current descriptor's child moves, stop if there are none, and
-        otherwise move to the child of the smallest ``(increment, move)``,
-        which for move-per-element serializations is the canonically
-        smallest of the cheapest children.  Returns each level's move count
-        and the last descriptor reached.
+        otherwise move to the child of the smallest ``(increment, move)``:
+        the first of the cheapest children when ``child_moves`` lists moves
+        in increasing order, as the shipped theories do.  Returns each
+        level's move count and the last descriptor reached.
 
         Default: ``child_moves``, ``min`` and ``apply_move`` at every level.
         A theory may override it with an incremental walk that keeps its

@@ -46,6 +46,15 @@ def test_parse_graph_rejects_bad_node_id():
         parse_graph("2 1\n0 2 5\n")
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [(0, (), "node count must be positive"), (2, ((0, 1, -1),), "negative weight")],
+)
+def test_graph_rejects_no_nodes_and_negative_weights(n, edges, message):
+    with pytest.raises(GraphValidationError, match=message):
+        Graph(n, edges)
+
+
 def test_parse_graph_diagnostics_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_graph("2 1\n0 1\n")
@@ -158,6 +167,11 @@ def run_main(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_build_theory_rejects_unknown_problem():
+    with pytest.raises(ValueError, match="unknown problem"):
+        cli.build_theory("nope", parse_graph(TRIANGLE_TEXT))
 
 
 def test_gen_command_byte_identical(capsys):

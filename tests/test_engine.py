@@ -65,8 +65,8 @@ def test_dedupe_keeps_first_occurrence(weighted_triangle):
     kept, removed = dedupe([a, a, b])
     assert [k.serial for k in kept] == [a.serial, b.serial]
     assert removed == 1
-    # Out of canonical order, with a non-adjacent duplicate made of two
-    # distinct objects: the output is canonical and keeps the first one.
+    # Serials out of lexicographic order, with a non-adjacent duplicate made
+    # of two distinct objects: the input order stays and the first is kept.
     th = KruskalSpanningTree(weighted_triangle)
     root = th.initial()
     via_01 = th.apply_move(th.apply_move(root, 0), 1)
@@ -74,7 +74,7 @@ def test_dedupe_keeps_first_occurrence(weighted_triangle):
     assert via_01 is not via_10 and via_01.serial == via_10.serial
     only_0, only_2 = th.apply_move(root, 0), th.apply_move(root, 2)
     kept, removed = dedupe([only_2, via_01, only_0, via_10])
-    assert [k.serial for k in kept] == [(0,), (0, 1), (2,)]
+    assert [k.serial for k in kept] == [(2,), (0, 1), (0,)]
     assert kept[1] is via_01 and removed == 1
 
 
@@ -96,6 +96,27 @@ def test_dedupe_merges_tree_reached_by_both_orders(weighted_triangle):
     assert len(kept) == 1 and removed == 1
 
 
+class InFirstKnapsack(Knapsack):
+    """Knapsack listing the in-move before the out-move."""
+
+    def child_moves(self, y):
+        return super().child_moves(y)[::-1]
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+def test_first_generated_representative_survives_a_merge(keyed):
+    # Items 0 and 1 are equal and only one fits, so "in, out" and "out, in"
+    # merge at level 2.  In-first, "in, out" is generated first and kept,
+    # although its serial (1, 0) sorts after (0, 1).
+    th = InFirstKnapsack(KnapsackInstance(1, ((1, 1), (1, 1))))
+    if not keyed:
+        th.equivalence_key = None  # force the generic pairwise path
+    result = solve(th)
+    assert result.optima == {frozenset({0})}
+    assert result.stats.equivalence_merged == 1
+    assert_stats_ledger(result.stats)
+
+
 # -- reduce_equivalent / filter_dominated ------------------------------------
 
 
@@ -111,7 +132,7 @@ def test_reduce_merges_equal_cost_paths_to_same_node(diamond):
     rchild = th.apply_move(right, 3)
     reps, merged = reduce_equivalent(th, sorted([lchild, rchild], key=lambda y: y.serial))
     assert merged == 1
-    assert [r.serial for r in reps] == [(0, 2)]  # canonically smallest kept
+    assert [r.serial for r in reps] == [(0, 2)]  # first kept
 
 
 def test_reduce_singleton_unchanged(triangle):
@@ -165,7 +186,6 @@ def test_filter_sweep_matches_pairwise_on_knapsack_levels():
     frontier = [th.initial()]
     while frontier:
         children, _ = dedupe(expand(th, frontier))
-        children.sort(key=lambda y: y.serial)
         reduced = reduce_equivalent(th, children)
         assert reduced == reduce_equivalent(pairwise, children)
         reps = reduced[0]

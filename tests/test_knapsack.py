@@ -4,8 +4,9 @@ from conftest import assert_stats_ledger
 
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_knapsack
-from frontier_search.oracles import knapsack_dp_ref
+from frontier_search.oracles import brute_force, knapsack_dp_ref
 from frontier_search.problems import Knapsack, KnapsackInstance
+from frontier_search.theory import ProblemTheory
 
 
 def three_items():
@@ -142,4 +143,24 @@ def test_identity_dominance_solves_sixteen_items_in_linear_stages():
     result = solve(IdentityDominance(Knapsack(inst)))
     assert result.optimal_cost == knapsack_dp_ref(inst)
     assert result.stats.equivalence_merged == result.stats.dominated_pruned == 0
+    assert_stats_ledger(result.stats)
+
+
+class DefaultDominanceKnapsack(Knapsack):
+    """Knapsack on ``ProblemTheory``'s default semi-congruence and one group."""
+
+    semi_congruent = ProblemTheory.semi_congruent
+    dominance_key = ProblemTheory.dominance_key
+    equivalence_key = None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_dominance_hooks_keep_every_optimum(seed):
+    # The default semi-congruence is canonical equality, so only equal
+    # serials dominate each other and every optimum survives.
+    th = DefaultDominanceKnapsack(gen_knapsack(8, None, 9, 3, seed))
+    result = solve(th)
+    oracle = brute_force(th)
+    assert result.optimal_cost == oracle.optimal_cost
+    assert len(result.optima) == oracle.witness_count
     assert_stats_ledger(result.stats)

@@ -15,7 +15,7 @@ from frontier_search.problems import (
     is_spanning_tree,
     tree_distances,
 )
-from frontier_search.problems.graphs import GraphDisconnected
+from frontier_search.problems.graphs import GraphDisconnected, InvalidNode
 from frontier_search.theory import ProblemTheory
 
 GREEDY = EngineConfig(mode=Mode.GREEDY)
@@ -146,6 +146,13 @@ def test_disconnected_inputs_rejected():
         KruskalSpanningTree(g)
     with pytest.raises(GraphDisconnected):
         ShortestPathTree(g, 0)
+
+
+@pytest.mark.parametrize("make", [PrimSpanningTree, ShortestPathTree])
+def test_out_of_range_root_rejected(make, weighted_triangle):
+    for root in (-1, 3):
+        with pytest.raises(InvalidNode, match="root"):
+            make(weighted_triangle, root)
 
 
 def test_zero_weight_edges_everywhere():
