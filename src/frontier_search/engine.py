@@ -7,8 +7,8 @@ per depth level and runs each level through a fixed pipeline:
 
 Feasible solutions are read off each post-prune frontier (including the
 initial one) and the cost-extremal filter is applied to all of them once at
-the end.  The search stops when the frontier empties or the depth bound is
-reached.
+the end.  The search stops when the frontier empties or at the theory's
+``max_depth()``, the only depth bound.
 
 When a theory gives an ``equivalence_key``, dominance within a group is a
 2-D order: ``reduce_equivalent`` merges members with equal keys, and
@@ -64,8 +64,6 @@ class GreedyViolation(RuntimeError):
 @dataclass(frozen=True)
 class EngineConfig:
     mode: Mode = Mode.EXHAUSTIVE
-    #: Maximum split depth; defaults to the theory's own bound.
-    depth_bound: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,8 @@ class SearchStats:
 @dataclass(frozen=True)
 class SolveResult:
     #: All optimal feasible solutions found; a subset of the true optimum set,
-    #: nonempty whenever any feasible solution is reachable within the bound.
+    #: nonempty whenever any feasible solution is reachable within
+    #: ``max_depth()``.
     optima: frozenset
     optimal_cost: Optional[int]
     stats: SearchStats
@@ -159,7 +158,7 @@ def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[An
 
 
 def filter_dominated(
-    theory: ProblemTheory, reps: list[Any], history: Optional[dict] = None
+    theory: ProblemTheory, reps: list[Any], history: dict
 ) -> tuple[list[Any], int]:
     """Remove every member strictly dominated by another representative.
 
@@ -168,11 +167,9 @@ def filter_dominated(
     what earlier levels of one run left behind, per dominance group: the
     lowest surviving ``b`` on the keyed path, every survivor on the pairwise
     path.  A member strictly dominated by an earlier level is removed too,
-    and the level's survivors are added to ``history``; ``None`` starts an
-    empty one, as for a run's first level.
+    and the level's survivors are added to ``history``; a run's first level
+    starts with an empty one.
     """
-    if history is None:
-        history = {}
     if theory.equivalence_key is not None:
         return _pareto_sweep(theory.equivalence_key, reps, history)
     keys = [theory.dominance_key(y) for y in reps]
@@ -264,13 +261,11 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     """Run the search to completion and return all optima found with stats.
 
     Deterministic for fixed inputs.  Raises GreedyViolation in greedy mode as
-    soon as an undominated frontier is wider than one; an exhausted depth
-    bound is not an error and yields empty optima.
+    soon as an undominated frontier is wider than one.  The search stops when
+    the frontier empties or at ``theory.max_depth()``.
     """
     config = config or EngineConfig()
-    depth_bound = (
-        config.depth_bound if config.depth_bound is not None else theory.max_depth()
-    )
+    depth = theory.max_depth()
 
     generated = duplicates = merged = pruned = 0
     rows: list[tuple[int, int]] = []
@@ -280,7 +275,7 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     frontier = [theory.initial()]
 
     if theory.strictly_ranked:
-        counts, last = theory.greedy_walk(frontier[0], depth_bound)
+        counts, last = theory.greedy_walk(frontier[0], depth)
         rows = [(n_moves, min(n_moves, 1)) for n_moves in counts]
         level, generated = len(rows), sum(counts)
         pruned = generated - sum(survived for _, survived in rows)
@@ -288,7 +283,7 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
 
     else:
         found = collect_locals(theory, frontier)
-        while frontier and level < depth_bound:
+        while frontier and level < depth:
             level += 1
             children = expand(theory, frontier)
             raw = len(children)

@@ -285,9 +285,6 @@ class ShortestPathTree(_TreeGrowthTheory):
         # Recomputed from the edge set alone, not from the running cost.
         return sum(tree_distances(self.graph, z, self.root).values())
 
-    def distances(self, z: frozenset[int]) -> dict[int, int]:
-        return tree_distances(self.graph, z, self.root)
-
 
 class KruskalSpanningTree(_SpanningTreeTheory):
     """Minimum spanning tree built by merging forest components."""

@@ -124,7 +124,8 @@ class ProblemTheory(ABC):
         otherwise move to the child of the smallest ``(increment, move)``:
         the first of the cheapest children when ``child_moves`` lists moves
         in increasing order, as the shipped theories do.  Returns each
-        level's move count and the last descriptor reached.
+        level's move count and the last descriptor reached.  ``solve`` walks
+        from ``initial()`` with ``depth`` set to ``max_depth()``.
 
         Default: ``child_moves``, ``min`` and ``apply_move`` at every level.
         A theory may override it with an incremental walk that keeps its
@@ -147,7 +148,7 @@ class ProblemTheory(ABC):
 
     @abstractmethod
     def max_depth(self) -> int:
-        """Upper bound on split depth; guarantees the search terminates."""
+        """Upper bound on split depth, and the engine's only depth bound."""
 
     # -- specification of correct outputs ----------------------------------
 

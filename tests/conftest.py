@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from frontier_search.problems import Graph
@@ -33,6 +35,18 @@ def sibling_families(theory: ProblemTheory, max_level: int | None = None):
             if len(children) > 1:
                 families.append(children)
     return families
+
+
+def bounded(theory: ProblemTheory, depth: int | None) -> ProblemTheory:
+    """A shallow copy of ``theory`` whose ``max_depth()`` is ``depth``.
+
+    ``solve`` searches no deeper than ``max_depth()``, so this is how a test
+    runs a depth-bounded search.  ``None`` keeps the theory's own bound.
+    """
+    copied = copy.copy(theory)
+    if depth is not None:
+        copied.max_depth = lambda: depth
+    return copied
 
 
 def assert_stats_ledger(stats) -> None:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import assert_stats_ledger
+from conftest import assert_stats_ledger, bounded
 
 from frontier_search import (
     EngineConfig,
@@ -168,14 +168,14 @@ def test_filter_keeps_cheapest_path_per_end_node():
     th = SinglePairShortestPath(g, 0, 2)
     cheap = th.apply_move(th.apply_move(th.initial(), 0), 1)  # cost 2 to node 2
     dear = th.apply_move(th.initial(), 2)  # cost 5 to node 2
-    survivors, pruned = filter_dominated(th, [cheap, dear])
+    survivors, pruned = filter_dominated(th, [cheap, dear], {})
     assert survivors == [cheap] and pruned == 1
 
 
 def test_filter_incomparable_set_unchanged():
     th = knapsack3()
     out, inn = th.split(th.initial())  # (w0,u0) vs (w2,u3): incomparable
-    survivors, pruned = filter_dominated(th, [out, inn])
+    survivors, pruned = filter_dominated(th, [out, inn], {})
     assert survivors == [out, inn] and pruned == 0
 
 
@@ -189,8 +189,8 @@ def test_filter_sweep_matches_pairwise_on_knapsack_levels():
         reduced = reduce_equivalent(th, children)
         assert reduced == reduce_equivalent(pairwise, children)
         reps = reduced[0]
-        swept = filter_dominated(th, reps)
-        assert swept == filter_dominated(pairwise, reps)
+        swept = filter_dominated(th, reps, {})
+        assert swept == filter_dominated(pairwise, reps, {})
         frontier = swept[0]
 
 
@@ -201,14 +201,14 @@ def test_filter_sweep_keeps_input_order_across_groups():
     cheap_3 = th.apply_move(th.apply_move(root, 0), 3)  # 0-1-3, cost 2
     dear_3 = th.apply_move(th.apply_move(root, 1), 4)  # 0-2-3, cost 14
     to_2 = th.apply_move(th.apply_move(root, 0), 2)  # 0-1-2, cost 2
-    survivors, pruned = filter_dominated(th, [cheap_3, dear_3, to_2])
+    survivors, pruned = filter_dominated(th, [cheap_3, dear_3, to_2], {})
     assert survivors == [cheap_3, to_2] and pruned == 1
 
 
 def test_filter_mst_children_single_survivor(weighted_triangle):
     th = PrimSpanningTree(weighted_triangle, 0)
     children = th.split(th.initial())
-    survivors, pruned = filter_dominated(th, children)
+    survivors, pruned = filter_dominated(th, children, {})
     assert len(survivors) == 1 and pruned == len(children) - 1
     assert survivors[0].serial == (0,)  # the weight-1 edge
 
@@ -330,7 +330,7 @@ def test_solve_result_members_feasible_at_optimal_cost(diamond):
 
 
 def test_depth_bound_exhaustion_returns_empty():
-    result = solve(knapsack3(), EngineConfig(depth_bound=1))
+    result = solve(bounded(knapsack3(), 1))
     assert result.optimal_cost is None and result.optima == frozenset()
     assert_stats_ledger(result.stats)
 
@@ -352,8 +352,8 @@ def test_stats_identity_holds_under_every_config(
     mode, depth_bound, problem, diamond, weighted_triangle
 ):
     build, greedy_solvable = CONFIG_SWEEP_THEORIES[problem]
-    th = build(diamond, weighted_triangle)
-    config = EngineConfig(mode=mode, depth_bound=depth_bound)
+    th = bounded(build(diamond, weighted_triangle), depth_bound)
+    config = EngineConfig(mode=mode)
     # Both non-greedy instances keep two spaces at level 1.
     raises = mode is Mode.GREEDY and not greedy_solvable and depth_bound != 0
     if raises:
@@ -364,12 +364,6 @@ def test_stats_identity_holds_under_every_config(
     result = solve(th, config)
     assert_stats_ledger(result.stats)
     assert len(result.stats.per_level_width) == result.stats.levels
-
-
-def test_depth_bound_default_comes_from_theory():
-    th = knapsack3()
-    explicit = solve(th, EngineConfig(depth_bound=th.max_depth()))
-    assert explicit == solve(th)
 
 
 def test_determinism(diamond):
@@ -404,13 +398,13 @@ GREEDY_PATH_GRAPHS = [
     lambda g: KruskalSpanningTree(g),
 ])
 def test_greedy_fast_path_matches_generic_pipeline(make):
+    config = EngineConfig(mode=Mode.GREEDY)
     for g in GREEDY_PATH_GRAPHS:
         for depth_bound in (None, 0, 1):
-            config = EngineConfig(mode=Mode.GREEDY, depth_bound=depth_bound)
-            fast = solve(make(g), config)
+            fast = solve(bounded(make(g), depth_bound), config)
             generic_theory = make(g)
             generic_theory.strictly_ranked = False
-            generic = solve(generic_theory, config)
+            generic = solve(bounded(generic_theory, depth_bound), config)
             assert fast == generic, (g, depth_bound)
 
 

@@ -41,6 +41,7 @@ def test_identity_dominance_keeps_only_reflexive_pairs():
     assert wrapped.dominates(a, a)
     assert not wrapped.dominates(a, b)
     assert wrapped.direction is th.direction
+    assert wrapped.partial_cost(a) == th.partial_cost(a)
 
 
 def test_identity_dominance_reaches_same_optimum():

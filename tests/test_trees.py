@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_stats_ledger, enumerate_levels
+from conftest import assert_stats_ledger, bounded, enumerate_levels
 
 from frontier_search import EngineConfig, Mode, solve
 from frontier_search.cli import gen_graph
@@ -34,7 +34,7 @@ def test_sssp_triangle(triangle):
     result = solve(th, GREEDY)
     tree = the_tree(result)
     assert tree == frozenset((0, 1))
-    assert th.distances(tree) == {0: 0, 1: 1, 2: 2}
+    assert tree_distances(triangle, tree, 0) == {0: 0, 1: 1, 2: 2}
     assert result.optimal_cost == 3  # sum of root-path costs
     assert_stats_ledger(result.stats)
 
@@ -51,7 +51,7 @@ def test_sssp_star_unit_weights():
     result = solve(th, GREEDY)
     tree = the_tree(result)
     assert tree == frozenset((0, 1, 2))
-    assert th.distances(tree) == {0: 0, 1: 1, 2: 1, 3: 1}
+    assert tree_distances(g, tree, 0) == {0: 0, 1: 1, 2: 1, 3: 1}
 
 
 def test_sssp_matches_reference_distances():
@@ -64,7 +64,7 @@ def test_sssp_matches_reference_distances():
     )
     th = ShortestPathTree(g, 0)
     tree = the_tree(solve(th, GREEDY))
-    assert th.distances(tree) == shortest_path_ref(g, 0)
+    assert tree_distances(g, tree, 0) == shortest_path_ref(g, 0)
 
 
 def test_sssp_cost_recomputes_independently(triangle):
@@ -294,9 +294,9 @@ def tied_multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth, mode):
     depth_bound = max(g.n - 2, 0) if depth == "n-2" else depth
-    config = EngineConfig(mode=mode, depth_bound=depth_bound)
     theories = walk_variants(problem, g)
-    fast, default, generic = (solve(th, config) for th in theories)
+    fast, default, generic = (
+        solve(bounded(th, depth_bound), EngineConfig(mode=mode)) for th in theories)
     assert fast == default == generic
     assert_stats_ledger(fast.stats)
     # Past the spanning tree both walks stop at a level without moves.
