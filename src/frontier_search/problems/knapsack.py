@@ -7,7 +7,7 @@ weight and utility: lighter-and-at-least-as-useful dominates, which is
 exactly the default semi-congruence-plus-cost rule under maximization.  The
 undominated frontier is the strict Pareto front over (weight, utility), at
 most one entry per distinct reachable weight, so at most ``capacity + 1``
-survivors per level.
+survivors per level.  ``split`` builds both children of a prefix in one call.
 """
 
 from __future__ import annotations
@@ -74,6 +74,22 @@ class Knapsack(ProblemTheory):
             w, u = self.items[k]
             return KnapsackDescriptor(serial + (1,), weight + w, utility + u, k + 1)
         return KnapsackDescriptor(serial + (0,), weight, utility, k + 1)
+
+    def split(self, y: KnapsackDescriptor) -> list[KnapsackDescriptor]:
+        # ``apply_move`` over ``child_moves``, with the parent unpacked once.
+        serial, weight, utility, k = y
+        if k == self.n:
+            return []
+        out = tuple.__new__(KnapsackDescriptor, (serial + (0,), weight, utility, k + 1))
+        w, u = self.items[k]
+        if weight + w > self.capacity:
+            return [out]
+        return [
+            out,
+            tuple.__new__(
+                KnapsackDescriptor, (serial + (1,), weight + w, utility + u, k + 1)
+            ),
+        ]
 
     def extract(self, y: KnapsackDescriptor) -> Optional[frozenset[int]]:
         if y.level != self.n:

@@ -3,9 +3,10 @@
 A partial solution is a simple path growing edge by edge from the source
 node.  Its descriptor, an immutable tuple, stores the path once, as its
 edges in walk order plus its end node, weight and level (the edge count);
-the node set is derived from the edges where it is needed.  A solution is
-extractable as soon as the path's end node is the target.  Paths ending at
-the same node are compared by accumulated weight: the cheaper one
+the node set is derived from the edges where it is needed, and ``split``
+derives it once for all of a path's children.  A solution is extractable
+as soon as the path's end node is the target.  Paths ending at the same
+node are compared by accumulated weight: the cheaper one
 dominates, which keeps at most one survivor per end node, so the frontier
 is never wider than the node count ``n``.  The relation deliberately
 ignores which interior nodes the paths visited, and how many edges they
@@ -89,6 +90,18 @@ class SinglePairShortestPath(ProblemTheory):
         return PathDescriptor(
             serial + (move,), b if end == a else a, cost + w, level + 1
         )
+
+    def split(self, y: PathDescriptor) -> list[PathDescriptor]:
+        # ``apply_move`` over ``child_moves``, with the visited set derived
+        # once per parent and the end node's incidence list read once.
+        serial, end, cost, level = y
+        visited = self._nodes(y)
+        level += 1
+        return [
+            tuple.__new__(PathDescriptor, (serial + (ei,), other, cost + w, level))
+            for ei, other, w in self._adj[end]
+            if other not in visited
+        ]
 
     def extract(self, y: PathDescriptor) -> Optional[tuple[int, ...]]:
         return y.serial if y.end == self.target else None

@@ -113,7 +113,16 @@ class ProblemTheory(ABC):
         """The child of ``y`` produced by one split move."""
 
     def split(self, y: Any) -> list[Any]:
-        """All immediate subspaces of ``y``, in canonical order."""
+        """All immediate subspaces of ``y``, in canonical order.
+
+        Default: ``apply_move`` on each of ``child_moves``.  A theory may
+        override it to build all children in one call, deriving what the
+        parent's children share once; the result must equal the default's
+        list: the same children in the same order, each of the same type
+        with the same field values.  ``apply_move`` and ``child_moves`` stay
+        the primitives that replay and the default ``greedy_walk`` use, so a
+        subclass that reorders ``child_moves`` must override ``split`` too.
+        """
         return [self.apply_move(y, move) for _, move in self.child_moves(y)]
 
     def greedy_walk(self, y: Any, depth: int) -> tuple[list[int], Any]:
@@ -209,6 +218,9 @@ class ProblemTheory(ABC):
 class IdentityDominance(ProblemTheory):
     """Wrapper disabling a theory's dominance (kept reflexive only).
 
+    It forwards the base theory's space and cost hooks, ``split`` included,
+    so it differs from the base only in dominance.
+
     Used to measure how much work pruning does: the engine degenerates to
     plain duplicate-free breadth-first enumeration, which must still reach
     the same optimal cost.
@@ -228,6 +240,9 @@ class IdentityDominance(ProblemTheory):
 
     def apply_move(self, y, move):
         return self.base.apply_move(y, move)
+
+    def split(self, y):
+        return self.base.split(y)
 
     def extract(self, y):
         return self.base.extract(y)

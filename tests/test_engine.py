@@ -102,6 +102,9 @@ class InFirstKnapsack(Knapsack):
     def child_moves(self, y):
         return super().child_moves(y)[::-1]
 
+    def split(self, y):
+        return super().split(y)[::-1]
+
 
 @pytest.mark.parametrize("keyed", [True, False])
 def test_first_generated_representative_survives_a_merge(keyed):

@@ -3,6 +3,10 @@
 ``perfbench`` wraps theories in a tracing proxy and patches the engine's
 stage functions by name, so a refactor of ``src/`` can break it without any
 other test noticing.  Its self-test checks that interface at a tiny size.
+
+The workloads' seed-1 fingerprints are pinned too: a change that alters the
+work the engine does on them changes a fingerprint, and updates its pin here
+with the reason.
 """
 
 import os
@@ -10,13 +14,59 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+FINGERPRINTS = {
+    "knapsack-exhaustive": "750a2dd7591ded37",
+    "tree-greedy": "8981eebb5dadbb03",
+    "spsp-exhaustive": "18d9d2ac41bd5d2f",
+}
+
+
+def start_perfbench(*args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.Popen(
+        [sys.executable, *args], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def finish(proc):
+    out, err = proc.communicate(timeout=600)
+    return proc.returncode, out, err
 
 
 def test_perfbench_selftest_passes():
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "perfbench/selftest.py"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    code, out, err = finish(start_perfbench("perfbench/selftest.py"))
+    assert code == 0, out[-2000:] + err[-2000:]
+
+
+@pytest.fixture(scope="module")
+def seed_one_runs():
+    # ``--seconds 0`` solves each core case once, which is all the
+    # fingerprint covers.  The runs are independent, so they run side by
+    # side; most of their time is the workloads' set-up.
+    procs = {
+        workload: start_perfbench(
+            "perfbench/run.py", "--workload", workload,
+            "--seed", "1", "--seconds", "0", "--trace", "0",
+        )
+        for workload in FINGERPRINTS
+    }
+    try:
+        return {workload: finish(proc) for workload, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+
+
+@pytest.mark.parametrize("workload", sorted(FINGERPRINTS))
+def test_workload_fingerprint_is_pinned(workload, seed_one_runs):
+    code, out, err = seed_one_runs[workload]
+    assert code == 0, out[-2000:] + err[-2000:]
+    printed = [line.split()[1] for line in out.splitlines()
+               if line.startswith("fingerprint ")]
+    assert printed == [FINGERPRINTS[workload]]

@@ -40,7 +40,7 @@ from frontier_search.problems import (
     ShortestPathTree,
     SinglePairShortestPath,
 )
-from frontier_search.theory import Direction
+from frontier_search.theory import Direction, ProblemTheory
 
 
 def small_graphs(count, max_edges=8, seed=100):
@@ -338,6 +338,35 @@ def test_level_increments_by_one_per_split():
                         setattr(y, field, getattr(y, field))
                 for child in theory.split(y):
                     assert child.level == y.level + 1
+
+
+def parallel_edge_graphs(count=4, seed=700):
+    """Small graphs in which every edge has a parallel twin, ends swapped."""
+    graphs = []
+    for k in range(count):
+        rng = random.Random(seed + k)
+        n = rng.randint(4, 5)
+        edges = []
+        for _ in range(6):
+            a, b = rng.sample(range(n), 2)
+            edges += [(a, b, rng.randint(0, 2)), (b, a, rng.randint(0, 2))]
+        graphs.append(Graph(n, tuple(edges)))
+    return graphs
+
+
+def test_split_equals_default_split():
+    # An overriding ``split`` must build exactly what ``apply_move`` over
+    # ``child_moves`` builds: same order, same type, same field values.
+    theories = [th for pool in preorder_pools().values() for th in pool]
+    theories += [SinglePairShortestPath(g, 0, g.n - 1) for g in parallel_edge_graphs()]
+    for theory in theories + [IdentityDominance(th) for th in theories]:
+        for layer in enumerate_levels(theory):
+            for y in layer:
+                fast = theory.split(y)
+                default = ProblemTheory.split(theory, y)
+                assert len(fast) == len(default), y
+                for a, b in zip(fast, default):
+                    assert type(a) is type(b) and a == b, (y, a, b)
 
 
 def test_split_children_duplicate_free():
