@@ -29,13 +29,14 @@ path that reaches it later, as Dijkstra's labels do.
 
 When a theory declares ``strictly_ranked``, every level keeps exactly one
 child, the cheapest (the theory's ranking breaking ties), so the pipeline
-collapses to the theory's ``greedy_walk``: it takes the greedy child level by
-level without materializing the others, and returns each level's candidate
-count and the last descriptor it reaches.  A level of ``n`` candidates
-counts ``n`` generated, ``n - 1`` dominance-pruned and one survivor, and a
-level without candidates ends the walk with a ``(0, 0)`` row; locals are
-read off the returned descriptor only.  The outcome, including all
-statistics, is identical to the generic pipeline's.
+collapses to the theory's ``greedy_walk``: from ``initial()`` it takes the
+greedy child level by level, for at most ``max_depth()`` levels and without
+materializing the others, and returns each level's candidate count and the
+last descriptor it reaches.  A level of ``n`` candidates counts ``n``
+generated, ``n - 1`` dominance-pruned and one survivor, and a level without
+candidates ends the walk with a ``(0, 0)`` row; locals are read off the
+returned descriptor only.  The outcome, including all statistics, is
+identical to the generic pipeline's.
 """
 
 from __future__ import annotations
@@ -265,23 +266,22 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     the frontier empties or at ``theory.max_depth()``.
     """
     config = config or EngineConfig()
-    depth = theory.max_depth()
 
     generated = duplicates = merged = pruned = 0
     rows: list[tuple[int, int]] = []
     level = 0
-    history: dict = {}
-
-    frontier = [theory.initial()]
 
     if theory.strictly_ranked:
-        counts, last = theory.greedy_walk(frontier[0], depth)
+        counts, last = theory.greedy_walk()
         rows = [(n_moves, min(n_moves, 1)) for n_moves in counts]
         level, generated = len(rows), sum(counts)
         pruned = generated - sum(survived for _, survived in rows)
         found = collect_locals(theory, [last])
 
     else:
+        depth = theory.max_depth()
+        history: dict = {}
+        frontier = [theory.initial()]
         found = collect_locals(theory, frontier)
         while frontier and level < depth:
             level += 1

@@ -223,23 +223,21 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         # more than all of it has edges.
         return len(self._labels(shared)) == len(shared) + 1
 
-    def greedy_walk(
-        self, y: TreeDescriptor, depth: int
-    ) -> tuple[list[int], TreeDescriptor]:
+    def greedy_walk(self) -> tuple[list[int], TreeDescriptor]:
         # The crossing edges sit in a heap keyed (increment, ei, outside
         # node); an entry goes stale, and is skipped when popped, once its
         # outside node joins.  Attaching v turns v's edges to the inside
         # from crossing to internal and its edges to the outside into new
         # crossing edges, which keeps the move count without a rescan.
         adj = self._adj
-        labels = self._labels(y.serial)
+        labels = {self.root: 0}
         heap = self._crossing(labels)
         heapify(heap)
         crossing = len(heap)
         counts: list[int] = []
         added: list[int] = []
-        cost = y.cost
-        for _ in range(depth):
+        cost = 0
+        for _ in range(self.max_depth()):
             counts.append(crossing)
             if not crossing:
                 break
@@ -255,9 +253,7 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
                 else:
                     crossing += 1
                     heappush(heap, (label + w, ej, x))
-        return counts, TreeDescriptor(
-            tuple(sorted(y.serial + tuple(added))), cost, y.level + len(added)
-        )
+        return counts, TreeDescriptor(tuple(sorted(added)), cost, len(added))
 
 
 class PrimSpanningTree(_TreeGrowthTheory):
@@ -308,33 +304,27 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             self.graph, other.serial
         )
 
-    def greedy_walk(
-        self, y: TreeDescriptor, depth: int
-    ) -> tuple[list[int], TreeDescriptor]:
+    def greedy_walk(self) -> tuple[list[int], TreeDescriptor]:
         # Edges are tried in (weight, ei) order and skipped once both ends
-        # carry one label.  ``ring[v]`` is v's successor in its component's
-        # circular member list and ``far[v]`` the far ends of v's joining
-        # edges, as a tuple: the garbage collector stops tracking tuples of
-        # ints, while lists kept alive set off full collections.  A merge
-        # counts off the edges between its sides, then relabels the smaller.
-        edges = self.graph.edges
-        comp = _components(self.graph, y.serial)
-        ring, size = list(range(len(comp))), [0] * len(comp)
-        for v, c in enumerate(comp):  # c, the smallest member, comes first
-            size[c] += 1
-            ring[v], ring[c] = ring[c], v
-        far: list = [[] for _ in comp]
+        # carry one label; every node starts as a component of its own.
+        # ``ring[v]`` is v's successor in its component's circular member
+        # list and ``far[v]`` the far ends of v's joining edges, as a tuple:
+        # the garbage collector stops tracking tuples of ints, while lists
+        # kept alive set off full collections.  A merge counts off the edges
+        # between its sides, then relabels the smaller.
+        n, edges = self.graph.n, self.graph.edges
+        comp, ring, size = list(range(n)), list(range(n)), [1] * n
+        far: list = [[] for _ in range(n)]
         for a, b, _ in edges:
-            if comp[a] != comp[b]:
-                far[a].append(b)
-                far[b].append(a)
+            far[a].append(b)
+            far[b].append(a)
         far = [tuple(ends) for ends in far]
-        joining = sum(map(len, far)) // 2
+        joining = len(edges)
         order = iter(sorted((w, ei) for ei, (_, _, w) in enumerate(edges)))
         counts: list[int] = []
         added: list[int] = []
-        cost = y.cost
-        for _ in range(depth):
+        cost = 0
+        for _ in range(self.max_depth()):
             counts.append(joining)
             if not joining:
                 break
@@ -358,6 +348,4 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             size[large] += size[small]
             added.append(ei)
             cost += w
-        return counts, TreeDescriptor(
-            tuple(sorted(y.serial + tuple(added))), cost, y.level + len(added)
-        )
+        return counts, TreeDescriptor(tuple(sorted(added)), cost, len(added))

@@ -19,7 +19,7 @@ Descriptors are immutable values and must expose two attributes:
 ``level``
     Number of splits separating the descriptor from the initial space.  It
     may be a stored field: ``apply_move`` then sets it to its parent's plus
-    one, and a ``greedy_walk`` to its start's plus the moves it took.
+    one, and a ``greedy_walk`` to the number of moves it took.
 
 The engine compares descriptors only by ``serial`` or by identity, never as
 whole values, so a descriptor may be a ``NamedTuple`` even though tuples
@@ -29,6 +29,7 @@ tuple is cheap to build and to read.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Any, Callable, Hashable, Optional
@@ -125,24 +126,25 @@ class ProblemTheory(ABC):
         """
         return [self.apply_move(y, move) for _, move in self.child_moves(y)]
 
-    def greedy_walk(self, y: Any, depth: int) -> tuple[list[int], Any]:
+    def greedy_walk(self) -> tuple[list[int], Any]:
         """Take the cheapest child level by level, for ``strictly_ranked``.
 
-        Starting at ``y``, for each of at most ``depth`` levels: count the
-        current descriptor's child moves, stop if there are none, and
-        otherwise move to the child of the smallest ``(increment, move)``:
-        the first of the cheapest children when ``child_moves`` lists moves
-        in increasing order, as the shipped theories do.  Returns each
-        level's move count and the last descriptor reached.  ``solve`` walks
-        from ``initial()`` with ``depth`` set to ``max_depth()``.
+        Starting at ``initial()``, for each of at most ``max_depth()``
+        levels: count the current descriptor's child moves, stop if there
+        are none, and otherwise move to the child of the smallest
+        ``(increment, move)``: the first of the cheapest children when
+        ``child_moves`` lists moves in increasing order, as the shipped
+        theories do.  Returns each level's move count and the last
+        descriptor reached.
 
         Default: ``child_moves``, ``min`` and ``apply_move`` at every level.
         A theory may override it with an incremental walk that keeps its
         candidates between levels; it must return the same counts and a
         descriptor with the same fields.
         """
+        y = self.initial()
         counts: list[int] = []
-        for _ in range(depth):
+        for _ in range(self.max_depth()):
             moves = self.child_moves(y)
             counts.append(len(moves))
             if not moves:
@@ -215,54 +217,30 @@ class ProblemTheory(ABC):
         return None
 
 
-class IdentityDominance(ProblemTheory):
-    """Wrapper disabling a theory's dominance (kept reflexive only).
+def _serials_equal(y: Any, other: Any) -> bool:
+    return y.serial == other.serial
 
-    It forwards the base theory's space and cost hooks, ``split`` included,
-    so it differs from the base only in dominance.
+
+def _serial_key(y: Any) -> tuple:
+    # Each serial is its own group, so the keyed stages run in linear time
+    # and, after dedupe, merge and prune nothing.
+    return (y.serial, 0, 0)
+
+
+def IdentityDominance(base: ProblemTheory) -> ProblemTheory:
+    """A copy of ``base`` with its dominance disabled (kept reflexive only).
+
+    Returns ``copy.copy(base)`` with ``strictly_ranked`` off, ``dominates``
+    true for equal serials only and an ``equivalence_key`` that puts each
+    serial in a group of its own.  Every other hook and attribute, ``split``
+    and instance-level overrides included, is the base's own.
 
     Used to measure how much work pruning does: the engine degenerates to
     plain duplicate-free breadth-first enumeration, which must still reach
     the same optimal cost.
     """
-
-    strictly_ranked = False
-
-    def __init__(self, base: ProblemTheory):
-        self.base = base
-        self.direction = base.direction
-
-    def initial(self):
-        return self.base.initial()
-
-    def child_moves(self, y):
-        return self.base.child_moves(y)
-
-    def apply_move(self, y, move):
-        return self.base.apply_move(y, move)
-
-    def split(self, y):
-        return self.base.split(y)
-
-    def extract(self, y):
-        return self.base.extract(y)
-
-    def max_depth(self):
-        return self.base.max_depth()
-
-    def feasible(self, z):
-        return self.base.feasible(z)
-
-    def cost(self, z):
-        return self.base.cost(z)
-
-    def partial_cost(self, y):
-        return self.base.partial_cost(y)
-
-    def dominates(self, y, other):
-        return y.serial == other.serial
-
-    def equivalence_key(self, y):
-        # Each serial is its own group, so the keyed stages run in linear
-        # time and, after dedupe, merge and prune nothing.
-        return (y.serial, 0, 0)
+    copied = copy.copy(base)
+    copied.strictly_ranked = False
+    copied.dominates = _serials_equal
+    copied.equivalence_key = _serial_key
+    return copied

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -388,3 +392,30 @@ def test_compare_spsp_on_a_1000_node_graph(tmp_path, capsys):
          "--target", "999"],
     )
     assert code == 0 and "agree: yes" in out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*args):
+    """``python -m frontier_search.cli`` in a fresh process, on this checkout."""
+    return subprocess.run(
+        [sys.executable, "-m", "frontier_search.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_runs_gen_then_compare(tmp_path, capsys):
+    # The ``__main__`` guard runs ``main`` and exits with its code.
+    gen = run_module("gen", "--problem", "knapsack", "--seed", "4")
+    assert gen.returncode == 0, gen.stderr
+    assert main(["gen", "--problem", "knapsack", "--seed", "4"]) == 0
+    assert gen.stdout == capsys.readouterr().out
+    path = tmp_path / "inst.txt"
+    path.write_text(gen.stdout)
+    compare = run_module("compare", "--problem", "knapsack", "--input", str(path), "--json")
+    assert compare.returncode == 0, compare.stderr
+    assert json.loads(compare.stdout)["agree"] is True
+    missing = run_module("compare", "--problem", "knapsack", "--input", str(tmp_path / "none"))
+    assert missing.returncode == 2 and "error:" in missing.stderr

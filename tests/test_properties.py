@@ -312,11 +312,15 @@ def test_partial_cost_compositional_over_splits():
 
 
 def test_dominance_key_sound_partition():
-    for theory in path_theories(3) + knapsack_theories(3):
+    # An ``IdentityDominance`` copy keeps its base's ``dominance_key``, which
+    # stays a sound partition for its serial-equality dominance.
+    leveled = path_theories(3) + knapsack_theories(3)
+    for theory in leveled + [IdentityDominance(th) for th in leveled]:
         for y, other in same_level_pairs(theory):
             if theory.dominates(y, other):
                 assert theory.dominance_key(y) == theory.dominance_key(other)
-    for theory in tree_theories(3):
+    trees = tree_theories(3)
+    for theory in trees + [IdentityDominance(th) for th in trees]:
         for family in sibling_families(theory):
             for y in family:
                 for other in family:
@@ -421,10 +425,17 @@ def frontier_width_bound(theory):
 
 def test_pruning_conservativeness():
     # Disabling dominance entirely must not change the optimal cost, and
-    # with it every level stays within the theory's width bound.
+    # with it every level stays within the theory's width bound.  With
+    # dominance off nothing merges or prunes, so on all five problems the
+    # search keeps every optimum the unpruned oracle finds.
     for theory in path_theories(4) + tree_theories(3) + knapsack_theories(4):
         result = solve(theory)
-        assert result.optimal_cost == solve(IdentityDominance(theory)).optimal_cost
+        unpruned = solve(IdentityDominance(theory))
+        oracle = brute_force(theory)
+        assert result.optimal_cost == unpruned.optimal_cost == oracle.optimal_cost
+        assert unpruned.stats.equivalence_merged == unpruned.stats.dominated_pruned == 0
+        assert len(unpruned.optima) == oracle.witness_count
+        assert_stats_ledger(unpruned.stats)
         bound = frontier_width_bound(theory)
         assert all(undom <= bound for _, undom in result.stats.per_level_width)
 

@@ -302,21 +302,7 @@ def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth,
     # Past the spanning tree both walks stop at a level without moves.
     walk_depth = g.n + 1 if depth_bound is None else depth_bound
     (counts, last), (default_counts, default_last) = (
-        th.greedy_walk(th.initial(), walk_depth) for th in theories[:2])
-    assert counts == default_counts and last == default_last
-
-
-@given(tied_multigraphs(), st.sampled_from(sorted(TREE_THEORIES)), st.data())
-@settings(max_examples=300, deadline=None)
-def test_greedy_walk_started_mid_run_equals_default_walk(g, problem, data):
-    # The walks read their starting state (components, labels) off ``y``;
-    # start them after k default steps rather than at ``initial()``.
-    fast, default, _ = walk_variants(problem, g)
-    k = data.draw(st.integers(0, max(g.n - 1, 0)))
-    _, y = default.greedy_walk(default.initial(), k)
-    assert y.level == k
-    counts, last = fast.greedy_walk(y, g.n + 1)
-    default_counts, default_last = default.greedy_walk(y, g.n + 1)
+        bounded(th, walk_depth).greedy_walk() for th in theories[:2])
     assert counts == default_counts and last == default_last
 
 
