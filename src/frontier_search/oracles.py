@@ -1,12 +1,14 @@
 """Independent ground-truth implementations used by the test suites.
 
 Nothing here shares code with the engine pipeline: the exhaustive searcher
-expands the raw split tree with duplicate removal only (no dominance), and
-the classical references are textbook algorithms over the plain instance
-types.  The exhaustive searcher and the completion enumerator have
-expansion caps, and the knapsack DP a table cap, so oversized inputs fail
-loudly with ``CapExceeded`` instead of hanging.  The CLI checks every
-problem against a classical reference only.
+expands the raw split tree with duplicate removal only (no dominance),
+through ``child_moves`` and ``apply_move`` rather than a theory's own
+``split`` override, which it thereby checks end to end; and the classical
+references are textbook algorithms over the plain instance types.  The
+exhaustive searcher and the completion enumerator have expansion caps, and
+the knapsack DP a table cap, so oversized inputs fail loudly with
+``CapExceeded`` instead of hanging.  The CLI checks every problem against a
+classical reference only.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ class OracleResult:
 def brute_force(
     theory: ProblemTheory, *, expansion_cap: int = DEFAULT_EXPANSION_CAP
 ) -> OracleResult:
-    """Exact optimum by full expansion of the split tree, no pruning.
+    """Exact optimum by full expansion of the split tree.
 
-    Only exact duplicates (canonically equal descriptors) are removed, so
-    this visits every reachable space once and its feasible extractions are
-    the complete feasible set within ``theory.max_depth()``.
+    No dominance pruning; the theory's own move bound applies.  Children
+    are ``apply_move`` over ``child_moves`` (the default ``split``), and
+    only exact duplicates (canonically equal descriptors) are removed, so
+    this visits every space the moves reach once.  Its feasible extractions
+    are the feasible solutions within ``theory.max_depth()`` that the moves
+    reach, every optimum among them.
     """
     depth = theory.max_depth()
     better = theory.direction.better
@@ -67,7 +72,7 @@ def brute_force(
             break
         nxt: dict[tuple[int, ...], Any] = {}
         for y in frontier.values():
-            children = theory.split(y)
+            children = ProblemTheory.split(theory, y)
             expanded += len(children)
             if expanded > expansion_cap:
                 raise CapExceeded(f"more than {expansion_cap} nodes generated")

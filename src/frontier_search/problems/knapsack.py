@@ -8,11 +8,22 @@ exactly the default semi-congruence-plus-cost rule under maximization.  The
 undominated frontier is the strict Pareto front over (weight, utility), at
 most one entry per distinct reachable weight, so at most ``capacity + 1``
 survivors per level.  ``split`` builds both children of a prefix in one call.
+
+The move generator also prunes by bound (Dantzig 1957; Martello and Toth
+1990, ch. 2).  The incumbent is the greedy fill in ratio order, a feasible
+solution the theory holds before the search starts.  A move is kept only
+when the child's utility plus the floored Dantzig bound (the fractional
+relaxation over the undecided items, within the remaining capacity) reaches
+the incumbent; ties are kept.  Along a path that bound never rises, a
+dominator's bound is at least the bound of what it dominates, and equal keys
+have equal bounds, so each level keeps exactly the unbounded search's
+survivors that the bound admits, and every optimum among them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
@@ -59,14 +70,67 @@ class Knapsack(ProblemTheory):
     def initial(self) -> KnapsackDescriptor:
         return KnapsackDescriptor((), 0, 0, 0)
 
+    @cached_property
+    def _ratio_order(self) -> tuple[int, ...]:
+        """Item indices by falling utility/weight.
+
+        Zero-weight items come first; the rest compare by cross-multiplied
+        ratios, so no float rounds, and ties keep index order.  Built on
+        first use, once per theory, and stored as bare indices to stay small.
+        """
+        items = self.items
+
+        def falling_ratio(a: int, b: int) -> int:
+            (wa, ua), (wb, ub) = items[a], items[b]
+            return ub * wa - ua * wb
+
+        weighted = [i for i, (w, _) in enumerate(items) if w]
+        weighted.sort(key=cmp_to_key(falling_ratio))
+        return tuple([i for i, (w, _) in enumerate(items) if not w] + weighted)
+
+    @cached_property
+    def incumbent(self) -> int:
+        """Utility of the greedy fill: each item in ratio order that still fits."""
+        room, total = self.capacity, 0
+        for i in self._ratio_order:
+            w, u = self.items[i]
+            if w <= room:
+                room -= w
+                total += u
+        return total
+
+    def _reaches(self, level: int, room: int, utility: int) -> bool:
+        """Whether ``utility`` plus the floored Dantzig bound over items
+        ``level..n-1`` within ``room`` is at least the incumbent."""
+        need = self.incumbent - utility
+        if need <= 0:
+            return True
+        items = self.items
+        for i in self._ratio_order:
+            if i < level:
+                continue
+            w, u = items[i]
+            if w > room:
+                return u * room // w >= need
+            room -= w
+            need -= u
+            if need <= 0:
+                return True
+        return False
+
     def child_moves(self, y: KnapsackDescriptor) -> list[tuple[int, int]]:
+        # Out before in, each kept only if its child can reach the incumbent.
         k = y.level
         if k == self.n:
             return []
         w, u = self.items[k]
-        if y.weight + w <= self.capacity:
-            return [(0, 0), (u, 1)]
-        return [(0, 0)]
+        room = self.capacity - y.weight
+        moves = []
+        if self._reaches(k + 1, room, y.utility):
+            moves.append((0, 0))
+        if w <= room and self._reaches(k + 1, room - w, y.utility + u):
+            moves.append((u, 1))
+        return moves
 
     def apply_move(self, y: KnapsackDescriptor, move: int) -> KnapsackDescriptor:
         serial, weight, utility, k = y
@@ -77,19 +141,25 @@ class Knapsack(ProblemTheory):
 
     def split(self, y: KnapsackDescriptor) -> list[KnapsackDescriptor]:
         # ``apply_move`` over ``child_moves``, with the parent unpacked once.
+        # It tests the bound itself rather than calling ``child_moves``, so a
+        # subclass that reorders ``child_moves`` does not reorder this too.
         serial, weight, utility, k = y
         if k == self.n:
             return []
-        out = tuple.__new__(KnapsackDescriptor, (serial + (0,), weight, utility, k + 1))
         w, u = self.items[k]
-        if weight + w > self.capacity:
-            return [out]
-        return [
-            out,
-            tuple.__new__(
-                KnapsackDescriptor, (serial + (1,), weight + w, utility + u, k + 1)
-            ),
-        ]
+        room = self.capacity - weight
+        children = []
+        if self._reaches(k + 1, room, utility):
+            children.append(
+                tuple.__new__(KnapsackDescriptor, (serial + (0,), weight, utility, k + 1))
+            )
+        if w <= room and self._reaches(k + 1, room - w, utility + u):
+            children.append(
+                tuple.__new__(
+                    KnapsackDescriptor, (serial + (1,), weight + w, utility + u, k + 1)
+                )
+            )
+        return children
 
     def extract(self, y: KnapsackDescriptor) -> Optional[frozenset[int]]:
         if y.level != self.n:
@@ -111,11 +181,17 @@ class Knapsack(ProblemTheory):
         return y.utility
 
     def semi_congruent(self, y: KnapsackDescriptor, other: KnapsackDescriptor) -> bool:
-        # Same decided prefix length and no heavier: whatever still fits on
-        # top of ``other`` fits on top of ``y``.
-        return y.level == other.level and y.weight <= other.weight
+        # Same decided prefix length, no heavier and at least as useful:
+        # whatever still fits on top of ``other`` fits on top of ``y``, and
+        # each move the bound lets ``other`` take, it lets ``y`` take too.
+        return (
+            y.level == other.level
+            and y.weight <= other.weight
+            and y.utility >= other.utility
+        )
 
-    # dominates: inherited default (semi-congruent and utility at least as high)
+    # dominates: inherited default (semi-congruent and utility at least as
+    # high, which the utility test in semi_congruent already implies)
 
     def dominance_key(self, y: KnapsackDescriptor) -> int:
         return y.level

@@ -101,12 +101,20 @@ class ProblemTheory(ABC):
 
     @abstractmethod
     def child_moves(self, y: Any) -> list[tuple[int, Move]]:
-        """All immediate split moves of ``y`` with their cost increments.
+        """The immediate split moves of ``y`` with their cost increments.
 
         Returns ``(increment, move)`` pairs such that applying ``move``
         yields a child with ``partial_cost(child) == partial_cost(y) +
         increment``.  Pairs are listed in canonical child order; the list is
         empty for terminal spaces.
+
+        A theory may omit a move into a subspace that cannot reach a
+        solution as good as one it already holds, such as one whose
+        optimistic bound is strictly worse than an incumbent; a move whose
+        bound ties the incumbent must be kept, so every optimum stays
+        reachable.  Along a path the bound must never improve, and a
+        dominator's bound must be at least as good as what it dominates, so
+        that dominance prunes the same members with or without it.
         """
 
     @abstractmethod
@@ -233,11 +241,12 @@ def IdentityDominance(base: ProblemTheory) -> ProblemTheory:
     Returns ``copy.copy(base)`` with ``strictly_ranked`` off, ``dominates``
     true for equal serials only and an ``equivalence_key`` that puts each
     serial in a group of its own.  Every other hook and attribute, ``split``
-    and instance-level overrides included, is the base's own.
+    and instance-level overrides included, is the base's own, so a base
+    theory's move bound (see ``child_moves``) still applies.
 
-    Used to measure how much work pruning does: the engine degenerates to
-    plain duplicate-free breadth-first enumeration, which must still reach
-    the same optimal cost.
+    Used to measure how much work dominance pruning does: the engine
+    degenerates to plain duplicate-free breadth-first enumeration of the
+    moves the base generates, which must still reach the same optimal cost.
     """
     copied = copy.copy(base)
     copied.strictly_ranked = False

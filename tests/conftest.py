@@ -6,8 +6,28 @@ import copy
 
 import pytest
 
-from frontier_search.problems import Graph
+from frontier_search.problems import Graph, Knapsack
 from frontier_search.theory import ProblemTheory
+
+
+class FullKnapsack(Knapsack):
+    """Knapsack without its bound: every move that fits, out before in.
+
+    The reference the bounded ``Knapsack`` is tested against, and the
+    vehicle for tests that need a prefix's full two-way split.
+    """
+
+    def child_moves(self, y):
+        k = y.level
+        if k == self.n:
+            return []
+        w, u = self.items[k]
+        if y.weight + w <= self.capacity:
+            return [(0, 0), (u, 1)]
+        return [(0, 0)]
+
+    # Knapsack's batched ``split`` tests the bound; the default does not.
+    split = ProblemTheory.split
 
 
 def enumerate_levels(theory: ProblemTheory, max_level: int | None = None):

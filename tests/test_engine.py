@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import assert_stats_ledger, bounded
+from conftest import FullKnapsack, assert_stats_ledger, bounded
 
 from frontier_search import (
     EngineConfig,
@@ -30,8 +30,17 @@ from frontier_search.problems import (
 from frontier_search.theory import Direction
 
 
+KNAPSACK3 = KnapsackInstance(5, ((2, 3), (3, 4), (4, 5)))
+
+
 def knapsack3():
-    return Knapsack(KnapsackInstance(5, ((2, 3), (3, 4), (4, 5))))
+    return Knapsack(KNAPSACK3)
+
+
+def full_knapsack3():
+    # Without the bound, whose greedy incumbent of 7 is this instance's
+    # optimum: the bounded theory keeps one child of the root only.
+    return FullKnapsack(KNAPSACK3)
 
 
 # -- expand -----------------------------------------------------------------
@@ -49,7 +58,7 @@ def test_expand_empty_frontier(triangle):
 
 
 def test_expand_binary_split_width_two():
-    th = knapsack3()
+    th = full_knapsack3()
     level1 = th.split(th.initial())
     assert len(level1) == 2
     children = expand(th, level1)
@@ -60,7 +69,7 @@ def test_expand_binary_split_width_two():
 
 
 def test_dedupe_keeps_first_occurrence(weighted_triangle):
-    th = knapsack3()
+    th = full_knapsack3()
     a, b = th.split(th.initial())
     kept, removed = dedupe([a, a, b])
     assert [k.serial for k in kept] == [a.serial, b.serial]
@@ -176,7 +185,7 @@ def test_filter_keeps_cheapest_path_per_end_node():
 
 
 def test_filter_incomparable_set_unchanged():
-    th = knapsack3()
+    th = full_knapsack3()
     out, inn = th.split(th.initial())  # (w0,u0) vs (w2,u3): incomparable
     survivors, pruned = filter_dominated(th, [out, inn], {})
     assert survivors == [out, inn] and pruned == 0
@@ -232,7 +241,7 @@ def test_collect_locals_path_at_target(triangle):
 
 
 def test_collect_locals_full_knapsack_level():
-    th = knapsack3()
+    th = full_knapsack3()
     level = [th.initial()]
     for _ in range(3):
         level = [c for y in level for c in th.split(y)]
@@ -340,7 +349,9 @@ def test_depth_bound_exhaustion_returns_empty():
 
 # Theory builders for the config sweep, and whether each solves greedily.
 CONFIG_SWEEP_THEORIES = {
-    "knapsack": (lambda g4, g3: Knapsack(gen_knapsack(12, None, 100, 100, 3)), False),
+    "knapsack": (lambda g4, g3: FullKnapsack(gen_knapsack(12, None, 100, 100, 3)), False),
+    # The bound leaves one child per level on this instance.
+    "knapsack-bounded": (lambda g4, g3: Knapsack(gen_knapsack(12, None, 100, 100, 3)), True),
     "spsp": (lambda g4, g3: SinglePairShortestPath(g4, 0, 3), False),
     "sssp": (lambda g4, g3: ShortestPathTree(g3, 0), True),
     "prim": (lambda g4, g3: PrimSpanningTree(g3, 0), True),

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import assert_stats_ledger
+from conftest import FullKnapsack, assert_stats_ledger
 
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_knapsack
@@ -28,7 +28,7 @@ def test_initial_prefix_empty():
 
 
 def test_split_is_binary_branch():
-    th = three_items()
+    th = FullKnapsack(three_items().instance)
     children = th.split(prefix(th, (1,)))
     assert [c.serial for c in children] == [(1, 0), (1, 1)]
 
@@ -124,7 +124,7 @@ def test_invalid_instances_rejected():
         KnapsackInstance(3, ((-1, 2),))
 
 
-@pytest.mark.parametrize("items", [40, 60, 100])
+@pytest.mark.parametrize("items", [40, 60, 100, 200])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_solve_matches_dp_at_scale(items, seed):
     inst = gen_knapsack(items, None, 100, 100, seed)
@@ -134,6 +134,24 @@ def test_solve_matches_dp_at_scale(items, seed):
     assert result.optimal_cost == knapsack_dp_ref(inst)
     for z in result.optima:
         assert th.feasible(z) and th.cost(z) == result.optimal_cost
+
+
+@pytest.mark.parametrize("items", [30, 100])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounded_solve_equals_full_solve_at_scale(items, seed):
+    inst = gen_knapsack(items, None, 100, 100, seed)
+    bounded_run, full_run = solve(Knapsack(inst)), solve(FullKnapsack(inst))
+    assert bounded_run.optima == full_run.optima
+    assert bounded_run.optimal_cost == full_run.optimal_cost
+    assert bounded_run.stats.generated < full_run.stats.generated
+
+
+def test_incumbent_is_the_greedy_fill_in_ratio_order():
+    # Zero weight first, then ratios 3, 2, 2 and 1, ties in index order.
+    # The fill skips item 3 (weight 6 of 5 left) and goes on.
+    th = Knapsack(KnapsackInstance(6, ((1, 1), (1, 3), (0, 6), (6, 12), (1, 2))))
+    assert th._ratio_order == (2, 1, 3, 4, 0)
+    assert th.incumbent == 6 + 3 + 2 + 1
 
 
 def test_identity_dominance_solves_sixteen_items_in_linear_stages():

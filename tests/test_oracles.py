@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import FullKnapsack
+
 from frontier_search.oracles import (
     CapExceeded,
     brute_force,
@@ -49,7 +51,8 @@ def test_brute_force_counts_equal_optima(diamond):
 
 
 def test_brute_force_cap():
-    th = Knapsack(KnapsackInstance(100, ((1, 1),) * 12))
+    # Unbounded: the bound would keep only the all-in path of 12 children.
+    th = FullKnapsack(KnapsackInstance(100, ((1, 1),) * 12))
     with pytest.raises(CapExceeded):
         brute_force(th, expansion_cap=50)
 

@@ -19,7 +19,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 FINGERPRINTS = {
-    "knapsack-exhaustive": "750a2dd7591ded37",
+    # Knapsack's move generator prunes by bound, so its searches generate
+    # fewer children (40,853 -> 1,543 over the seed-1 cases); optima are
+    # unchanged.
+    "knapsack-exhaustive": "6de1039359eb705a",
     "tree-greedy": "8981eebb5dadbb03",
     "spsp-exhaustive": "18d9d2ac41bd5d2f",
 }

@@ -21,20 +21,34 @@ Scope notes for the soundness suites:
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_stats_ledger, enumerate_levels, sibling_families
+from conftest import (
+    FullKnapsack,
+    assert_stats_ledger,
+    enumerate_levels,
+    sibling_families,
+)
 
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_graph, gen_knapsack
-from frontier_search.engine import opt_c
+from frontier_search.engine import (
+    dedupe,
+    expand,
+    filter_dominated,
+    opt_c,
+    reduce_equivalent,
+)
 from frontier_search.oracles import brute_force, enumerate_extensions
 from frontier_search.problems import (
     Graph,
     Knapsack,
+    KnapsackInstance,
     KruskalSpanningTree,
     PrimSpanningTree,
     ShortestPathTree,
@@ -546,3 +560,93 @@ def test_keyed_solve_equals_pairwise_solve(seed):
     assert solve(SinglePairShortestPath(g, 0, target)) == solve(
         PairwiseSinglePairShortestPath(g, 0, target)
     )
+
+
+# -- knapsack bound ----------------------------------------------------------------
+
+#: Small instances with capacity 0 and zero-weight items among them.
+knapsack_instances = st.builds(
+    KnapsackInstance,
+    st.integers(0, 12),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10).map(tuple),
+)
+
+
+@given(knapsack_instances)
+@settings(max_examples=150, deadline=None)
+def test_knapsack_bound_keeps_every_move_that_can_reach_the_incumbent(inst):
+    # Completions are enumerated over the raw items, not through the theory.
+    th, full = Knapsack(inst), FullKnapsack(inst)
+
+    @lru_cache(maxsize=None)
+    def best_rest(level, room):
+        rest = inst.items[level:]
+        return max(
+            sum(u for (_, u), bit in zip(rest, bits) if bit)
+            for bits in product((0, 1), repeat=len(rest))
+            if sum(w for (w, _), bit in zip(rest, bits) if bit) <= room
+        )
+
+    # The incumbent is a feasible solution's utility.
+    assert th.incumbent <= best_rest(0, inst.capacity)
+    for layer in enumerate_levels(full):
+        for y in layer:
+            kept = th.child_moves(y)
+            assert th.split(y) == [th.apply_move(y, m) for _, m in kept]
+            every = full.child_moves(y)
+            assert kept == [m for m in every if m in kept]
+            for inc, move in every:
+                child = full.apply_move(y, move)
+                room = inst.capacity - child.weight
+                if child.utility + best_rest(child.level, room) >= th.incumbent:
+                    assert (inc, move) in kept, (y, move)
+
+
+@given(
+    st.builds(
+        KnapsackInstance,
+        st.integers(0, 40),
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=18
+        ).map(tuple),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_bounded_knapsack_solve_equals_full_knapsack_solve(inst):
+    bounded_run, full_run = solve(Knapsack(inst)), solve(FullKnapsack(inst))
+    assert bounded_run.optima == full_run.optima
+    assert bounded_run.optimal_cost == full_run.optimal_cost
+    assert bounded_run.stats.generated <= full_run.stats.generated
+    assert_stats_ledger(bounded_run.stats)
+
+
+def test_bounded_knapsack_levels_are_the_full_levels_the_bound_admits():
+    # Each level's survivors are the unbounded search's survivors whose
+    # bound reaches the incumbent, in the same order.
+    for th in preorder_pools()["knapsack"] + knapsack_theories():
+        full = FullKnapsack(th.instance)
+        frontier, full_frontier = [th.initial()], [full.initial()]
+        history, full_history = {}, {}
+        while full_frontier:
+            frontier = filter_dominated(
+                th, reduce_equivalent(th, dedupe(expand(th, frontier))[0])[0], history
+            )[0]
+            full_frontier = filter_dominated(
+                full,
+                reduce_equivalent(full, dedupe(expand(full, full_frontier))[0])[0],
+                full_history,
+            )[0]
+            assert frontier == [
+                y
+                for y in full_frontier
+                if th._reaches(y.level, th.capacity - y.weight, y.utility)
+            ]
+
+
+def test_bounded_knapsack_equals_full_knapsack_on_property_pools():
+    for th in preorder_pools()["knapsack"] + knapsack_theories(12):
+        full = FullKnapsack(th.instance)
+        for a, b in ((th, full), (IdentityDominance(th), IdentityDominance(full))):
+            bounded_run, full_run = solve(a), solve(b)
+            assert bounded_run.optima == full_run.optima
+            assert bounded_run.optimal_cost == full_run.optimal_cost
