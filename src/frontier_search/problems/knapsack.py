@@ -1,9 +1,11 @@
 """0-1 knapsack: maximize utility within a weight capacity.
 
-Partial solutions decide items in index order, so a descriptor is a prefix
-of in/out bits, stored as an immutable tuple with its weight, utility and
-level (the prefix length).  Prefixes that decided the same items compare by
-weight and utility: lighter-and-at-least-as-useful dominates, which is
+Partial solutions decide items in ratio order (falling utility/weight, see
+``_ratio_order``), so a descriptor is a prefix of in/out bits over that
+order, stored as an immutable tuple with its weight, utility and level (the
+prefix length); bit k decides item ``_ratio_order[k]``, and ``extract`` maps
+the bits back to item indices.  Prefixes that decided the same items compare
+by weight and utility: lighter-and-at-least-as-useful dominates, which is
 exactly the default semi-congruence-plus-cost rule under maximization.  The
 undominated frontier is the strict Pareto front over (weight, utility), at
 most one entry per distinct reachable weight, so at most ``capacity + 1``
@@ -17,13 +19,17 @@ relaxation over the undecided items, within the remaining capacity) reaches
 the incumbent; ties are kept.  Along a path that bound never rises, a
 dominator's bound is at least the bound of what it dominates, and equal keys
 have equal bounds, so each level keeps exactly the unbounded search's
-survivors that the bound admits, and every optimum among them.
+survivors that the bound admits, and every optimum among them.  Because the
+levels decide items in the order the greedy fill and the bound take them,
+the undecided items are a suffix of that order: the bound scans them from
+the current level on, and tightens with every level decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
@@ -47,7 +53,8 @@ class KnapsackInstance:
 
 
 class KnapsackDescriptor(NamedTuple):
-    """Decisions for the first ``level`` items, one bit per item."""
+    """Decisions for the first ``level`` items of the decision order, one bit
+    per item."""
 
     serial: tuple[int, ...]  # 0 = out, 1 = in
     weight: int
@@ -62,7 +69,8 @@ class Knapsack(ProblemTheory):
 
     def __init__(self, instance: KnapsackInstance):
         self.instance = instance
-        # Plain attributes: the search reads them for every descriptor.
+        # Plain attributes: the search reads ``n`` and ``capacity`` for every
+        # descriptor.
         self.items = instance.items
         self.n = len(instance.items)
         self.capacity = instance.capacity
@@ -89,27 +97,30 @@ class Knapsack(ProblemTheory):
         return tuple([i for i, (w, _) in enumerate(items) if not w] + weighted)
 
     @cached_property
+    def decided(self) -> tuple[tuple[int, int], ...]:
+        """The ``(weight, utility)`` pairs in the order the levels decide
+        them: level k decides ``decided[k]``, item ``_ratio_order[k]``."""
+        items = self.items
+        return tuple([items[i] for i in self._ratio_order])
+
+    @cached_property
     def incumbent(self) -> int:
         """Utility of the greedy fill: each item in ratio order that still fits."""
         room, total = self.capacity, 0
-        for i in self._ratio_order:
-            w, u = self.items[i]
+        for w, u in self.decided:
             if w <= room:
                 room -= w
                 total += u
         return total
 
     def _reaches(self, level: int, room: int, utility: int) -> bool:
-        """Whether ``utility`` plus the floored Dantzig bound over items
-        ``level..n-1`` within ``room`` is at least the incumbent."""
+        """Whether ``utility`` plus the floored Dantzig bound over the items
+        still undecided at ``level`` (``decided[level:]``) within ``room`` is
+        at least the incumbent."""
         need = self.incumbent - utility
         if need <= 0:
             return True
-        items = self.items
-        for i in self._ratio_order:
-            if i < level:
-                continue
-            w, u = items[i]
+        for w, u in islice(self.decided, level, None):
             if w > room:
                 return u * room // w >= need
             room -= w
@@ -123,7 +134,7 @@ class Knapsack(ProblemTheory):
         k = y.level
         if k == self.n:
             return []
-        w, u = self.items[k]
+        w, u = self.decided[k]
         room = self.capacity - y.weight
         moves = []
         if self._reaches(k + 1, room, y.utility):
@@ -135,7 +146,7 @@ class Knapsack(ProblemTheory):
     def apply_move(self, y: KnapsackDescriptor, move: int) -> KnapsackDescriptor:
         serial, weight, utility, k = y
         if move:
-            w, u = self.items[k]
+            w, u = self.decided[k]
             return KnapsackDescriptor(serial + (1,), weight + w, utility + u, k + 1)
         return KnapsackDescriptor(serial + (0,), weight, utility, k + 1)
 
@@ -146,7 +157,7 @@ class Knapsack(ProblemTheory):
         serial, weight, utility, k = y
         if k == self.n:
             return []
-        w, u = self.items[k]
+        w, u = self.decided[k]
         room = self.capacity - weight
         children = []
         if self._reaches(k + 1, room, utility):
@@ -164,7 +175,8 @@ class Knapsack(ProblemTheory):
     def extract(self, y: KnapsackDescriptor) -> Optional[frozenset[int]]:
         if y.level != self.n:
             return None
-        return frozenset(i for i, bit in enumerate(y.serial) if bit)
+        order = self._ratio_order
+        return frozenset(order[k] for k, bit in enumerate(y.serial) if bit)
 
     def max_depth(self) -> int:
         return self.n

@@ -26,7 +26,11 @@ answers False for same-level descriptors that do not share a parent.  Its
 guarantee is carried by the surviving minimum: the cheapest child of any
 parent extends to a completion at least as good as every sibling's (the
 classic exchange argument), which is exactly what keeping a single
-undominated child per level requires.
+undominated child per level requires.  The same ranking is the theories'
+``equivalence_key``, ``(level, 0, (cost, serial))``: a level of the search
+holds the children of its one surviving parent, among which key order is
+exactly ``dominates``, so the pipeline (``strictly_ranked`` off) takes the
+keyed sort and sweep rather than testing every pair of siblings.
 
 Both schemes override ``greedy_walk``, the engine's greedy path, with the
 finite-differenced form of their derivation (Paige and Koenig's finite
@@ -158,6 +162,10 @@ class _SpanningTreeTheory(ProblemTheory):
         if not self._reachable(mine & theirs):
             return False
         return (y.cost, y.serial) <= (other.cost, other.serial)
+
+    def equivalence_key(self, y: TreeDescriptor) -> tuple[int, int, tuple]:
+        # A level never recurs as a group, so no ``a`` needs to stay fixed.
+        return (y.level, 0, (y.cost, y.serial))
 
 
 class _TreeGrowthTheory(_SpanningTreeTheory):

@@ -21,7 +21,7 @@ class FullKnapsack(Knapsack):
         k = y.level
         if k == self.n:
             return []
-        w, u = self.items[k]
+        w, u = self.decided[k]
         if y.weight + w <= self.capacity:
             return [(0, 0), (u, 1)]
         return [(0, 0)]
@@ -67,6 +67,16 @@ def bounded(theory: ProblemTheory, depth: int | None) -> ProblemTheory:
     if depth is not None:
         copied.max_depth = lambda: depth
     return copied
+
+
+def assert_key_matches_dominates(theory, y, other):
+    """``y`` dominates ``other`` iff its key shares the group and is no greater
+    in ``a`` and ``b``; the keys are equal iff each dominates the other."""
+    ky, ko = theory.equivalence_key(y), theory.equivalence_key(other)
+    (gy, ay, by), (go, ao, bo) = ky, ko
+    assert theory.dominates(y, other) == (gy == go and ay <= ao and by <= bo)
+    mutual = theory.dominates(y, other) and theory.dominates(other, y)
+    assert (ky == ko) == mutual
 
 
 def assert_stats_ledger(stats) -> None:

@@ -154,6 +154,26 @@ def test_incumbent_is_the_greedy_fill_in_ratio_order():
     assert th.incumbent == 6 + 3 + 2 + 1
 
 
+def test_levels_decide_items_in_ratio_order():
+    # Bit k decides item ``_ratio_order[k]``; ``extract`` maps it back.
+    th = Knapsack(KnapsackInstance(6, ((1, 1), (1, 3), (0, 6), (6, 12), (1, 2))))
+    assert th.decided == ((0, 6), (1, 3), (6, 12), (1, 2), (1, 1))
+    y = prefix(th, (1, 0, 0, 1, 1))
+    assert (y.weight, y.utility) == (2, 9)
+    assert th.extract(y) == frozenset((2, 4, 0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ratio_order_keeps_200_item_searches_small(seed):
+    # Work, not time: deciding items in the order the bound scans them
+    # generates 368-2,323 children on these instances, where index order
+    # generated 2,046-10,379.
+    inst = gen_knapsack(200, None, 100, 100, seed)
+    result = solve(Knapsack(inst))
+    assert result.optimal_cost == knapsack_dp_ref(inst)
+    assert result.stats.generated <= 2_500
+
+
 def test_identity_dominance_solves_sixteen_items_in_linear_stages():
     # Each serial is its own key group, so nothing merges or prunes and the
     # stages stay linear in the level width.

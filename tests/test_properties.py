@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FullKnapsack,
+    assert_key_matches_dominates,
     assert_stats_ledger,
     enumerate_levels,
     sibling_families,
@@ -419,11 +420,13 @@ def test_path_descriptor_caches_coherent():
 
 def test_knapsack_descriptor_caches_coherent():
     for theory in knapsack_theories(3):
-        items = theory.instance.items
+        items, order = theory.instance.items, theory._ratio_order
         for layer in enumerate_levels(theory):
             for y in layer:
-                w = sum(items[i][0] for i, bit in enumerate(y.serial) if bit)
-                u = sum(items[i][1] for i, bit in enumerate(y.serial) if bit)
+                # Bit k decides item ``order[k]``.
+                chosen = [order[k] for k, bit in enumerate(y.serial) if bit]
+                w = sum(items[i][0] for i in chosen)
+                u = sum(items[i][1] for i in chosen)
                 assert (y.weight, y.utility) == (w, u)
                 assert y.weight <= theory.instance.capacity
 
@@ -504,16 +507,6 @@ def test_knapsack_engine_matches_subset_enumeration(seed):
     assert result.optimal_cost == best
 
 
-def assert_key_matches_dominates(theory, y, other):
-    """``y`` dominates ``other`` iff its key shares the group and is no greater
-    in ``a`` and ``b``; the keys are equal iff each dominates the other."""
-    ky, ko = theory.equivalence_key(y), theory.equivalence_key(other)
-    (gy, ay, by), (go, ao, bo) = ky, ko
-    assert theory.dominates(y, other) == (gy == go and ay <= ao and by <= bo)
-    mutual = theory.dominates(y, other) and theory.dominates(other, y)
-    assert (ky == ko) == mutual
-
-
 @given(st.integers(0, 2**30), st.data())
 @settings(max_examples=150, deadline=None)
 def test_knapsack_equivalence_key_order_equals_dominates(seed, data):
@@ -580,7 +573,8 @@ def test_knapsack_bound_keeps_every_move_that_can_reach_the_incumbent(inst):
 
     @lru_cache(maxsize=None)
     def best_rest(level, room):
-        rest = inst.items[level:]
+        # The items not yet decided at ``level``: the rest of the ratio order.
+        rest = [inst.items[i] for i in th._ratio_order[level:]]
         return max(
             sum(u for (_, u), bit in zip(rest, bits) if bit)
             for bits in product((0, 1), repeat=len(rest))

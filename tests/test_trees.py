@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_stats_ledger, bounded, enumerate_levels
+from conftest import (
+    assert_key_matches_dominates,
+    assert_stats_ledger,
+    bounded,
+    enumerate_levels,
+)
 
 from frontier_search import EngineConfig, Mode, solve
 from frontier_search.cli import gen_graph
@@ -252,13 +257,14 @@ TREE_THEORIES = {
 
 
 def walk_variants(problem, g):
-    """The theory with its own walk, with the interface's default walk, and
-    with the generic pipeline in place of any walk."""
+    """The theory with its own walk, with the interface's default walk, with
+    the keyed pipeline in place of any walk, and with the pairwise pipeline."""
     cls = TREE_THEORIES[problem]
     default = type("DefaultWalk", (cls,), {"greedy_walk": ProblemTheory.greedy_walk})
-    generic = type("Generic", (cls,), {"strictly_ranked": False})
+    keyed = type("Keyed", (cls,), {"strictly_ranked": False})
+    pairwise = type("Pairwise", (keyed,), {"equivalence_key": None})
     args = (g,) if cls is KruskalSpanningTree else (g, 0)
-    return tuple(c(*args) for c in (cls, default, generic))
+    return tuple(c(*args) for c in (cls, default, keyed, pairwise))
 
 
 @st.composite
@@ -295,9 +301,9 @@ def tied_multigraphs(draw):
 def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth, mode):
     depth_bound = max(g.n - 2, 0) if depth == "n-2" else depth
     theories = walk_variants(problem, g)
-    fast, default, generic = (
+    fast, default, keyed, pairwise = (
         solve(bounded(th, depth_bound), EngineConfig(mode=mode)) for th in theories)
-    assert fast == default == generic
+    assert fast == default == keyed == pairwise
     assert_stats_ledger(fast.stats)
     # Past the spanning tree both walks stop at a level without moves.
     walk_depth = g.n + 1 if depth_bound is None else depth_bound
@@ -313,10 +319,31 @@ def test_greedy_walk_matches_default_walk_at_scale(problem):
     for n, density, seed in (
         (300, 0.05, 1), (500, 0.02, 2), (800, 0.008, 3), (150, 0.5, 4)
     ):
-        fast, default, _ = walk_variants(problem, gen_graph(n, density, 50, seed))
+        fast, default = walk_variants(problem, gen_graph(n, density, 50, seed))[:2]
         result = solve(fast, GREEDY)
         assert result == solve(default, GREEDY)
         assert result.stats.levels == n - 1
+
+
+@pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
+def test_greedy_walk_matches_keyed_pipeline_at_sixty_nodes(problem):
+    # The keyed sweep makes the pipeline practical at a size where testing
+    # every pair of siblings was not.
+    fast, _, keyed, _ = walk_variants(problem, gen_graph(60, 0.2, 50, 2))
+    assert solve(fast, GREEDY) == solve(keyed, GREEDY)
+
+
+@given(tied_multigraphs(), st.sampled_from(sorted(TREE_THEORIES)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_equivalence_key_order_equals_dominates_on_siblings(g, problem, data):
+    # Along a random path, every pair of one parent's children.
+    th = walk_variants(problem, g)[0]
+    y = th.initial()
+    while children := th.split(y):
+        for a in children:
+            for b in children:
+                assert_key_matches_dominates(th, a, b)
+        y = data.draw(st.sampled_from(children))
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
