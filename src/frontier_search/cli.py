@@ -274,10 +274,7 @@ def _oracle_cost(problem: str, theory: ProblemTheory, instance) -> Optional[int]
 def _witness(result: SolveResult) -> Optional[list[int]]:
     if not result.optima:
         return None
-    canon = min(
-        tuple(sorted(z)) if isinstance(z, frozenset) else z for z in result.optima
-    )
-    return list(canon)
+    return list(min(map(oracles.canon, result.optima)))
 
 
 def _instance_summary(problem: str, instance) -> dict[str, int]:
@@ -353,13 +350,16 @@ def run(argv: Optional[list[str]] = None) -> int:
     if args.command == "gen":
         if not 0.0 <= args.density <= 1.0:
             raise ValueError(f"--density must be within [0, 1], got {args.density}")
-        for flag, value in (
-            ("--items", args.items),
-            ("--max-weight", args.max_weight),
-            ("--max-utility", args.max_utility),
+        for flag, value, least in (
+            ("--nodes", args.nodes, 1),
+            ("--items", args.items, 0),
+            ("--capacity", args.capacity, 0),
+            ("--max-weight", args.max_weight, 0),
+            ("--max-utility", args.max_utility, 0),
         ):
-            if value < 0:
-                raise ValueError(f"{flag} must be non-negative, got {value}")
+            if value is not None and value < least:
+                rule = "positive" if least else "non-negative"
+                raise ValueError(f"{flag} must be {rule}, got {value}")
         if args.problem == "knapsack":
             text = render_knapsack(
                 gen_knapsack(

@@ -28,7 +28,8 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def _canon(solution: Any):
+def canon(solution: Any):
+    """``solution`` in an orderable form: a frozenset as its sorted tuple."""
     return tuple(sorted(solution)) if isinstance(solution, frozenset) else solution
 
 
@@ -80,7 +81,7 @@ def brute_force(
                 nxt.setdefault(child.serial, child)
         frontier = nxt
 
-    witness = min(best, key=_canon) if best else None
+    witness = min(best, key=canon) if best else None
     return OracleResult(best_cost, len(best), witness)
 
 

@@ -2,14 +2,15 @@
 
 Partial solutions decide items in ratio order (falling utility/weight, see
 ``_ratio_order``), so a descriptor is a prefix of in/out bits over that
-order, stored as an immutable tuple with its weight, utility and level (the
-prefix length); bit k decides item ``_ratio_order[k]``, and ``extract`` maps
-the bits back to item indices.  Prefixes that decided the same items compare
-by weight and utility: lighter-and-at-least-as-useful dominates, which is
-exactly the default semi-congruence-plus-cost rule under maximization.  The
-undominated frontier is the strict Pareto front over (weight, utility), at
-most one entry per distinct reachable weight, so at most ``capacity + 1``
-survivors per level.  ``split`` builds both children of a prefix in one call.
+order, stored as an immutable tuple with its weight and utility; its level
+is the prefix length, bit k decides item ``_ratio_order[k]``, and
+``extract`` maps the bits back to item indices.  Prefixes that decided the
+same items compare by weight and utility: lighter-and-at-least-as-useful
+dominates, which is exactly the default semi-congruence-plus-cost rule
+under maximization.  The undominated frontier is the strict Pareto front
+over (weight, utility), at most one entry per distinct reachable weight, so
+at most ``capacity + 1`` survivors per level.  ``split`` builds both
+children of a prefix in one call.
 
 The move generator also prunes by bound (Dantzig 1957; Martello and Toth
 1990, ch. 2).  The incumbent is the greedy fill in ratio order, a feasible
@@ -53,13 +54,12 @@ class KnapsackInstance:
 
 
 class KnapsackDescriptor(NamedTuple):
-    """Decisions for the first ``level`` items of the decision order, one bit
-    per item."""
+    """Decisions for the first ``len(serial)`` items of the decision order,
+    one bit per item."""
 
     serial: tuple[int, ...]  # 0 = out, 1 = in
     weight: int
     utility: int
-    level: int  # len(serial)
 
 
 class Knapsack(ProblemTheory):
@@ -76,7 +76,7 @@ class Knapsack(ProblemTheory):
         self.capacity = instance.capacity
 
     def initial(self) -> KnapsackDescriptor:
-        return KnapsackDescriptor((), 0, 0, 0)
+        return KnapsackDescriptor((), 0, 0)
 
     @cached_property
     def _ratio_order(self) -> tuple[int, ...]:
@@ -131,7 +131,7 @@ class Knapsack(ProblemTheory):
 
     def child_moves(self, y: KnapsackDescriptor) -> list[tuple[int, int]]:
         # Out before in, each kept only if its child can reach the incumbent.
-        k = y.level
+        k = len(y.serial)
         if k == self.n:
             return []
         w, u = self.decided[k]
@@ -144,17 +144,18 @@ class Knapsack(ProblemTheory):
         return moves
 
     def apply_move(self, y: KnapsackDescriptor, move: int) -> KnapsackDescriptor:
-        serial, weight, utility, k = y
+        serial, weight, utility = y
         if move:
-            w, u = self.decided[k]
-            return KnapsackDescriptor(serial + (1,), weight + w, utility + u, k + 1)
-        return KnapsackDescriptor(serial + (0,), weight, utility, k + 1)
+            w, u = self.decided[len(serial)]
+            return KnapsackDescriptor(serial + (1,), weight + w, utility + u)
+        return KnapsackDescriptor(serial + (0,), weight, utility)
 
     def split(self, y: KnapsackDescriptor) -> list[KnapsackDescriptor]:
         # ``apply_move`` over ``child_moves``, with the parent unpacked once.
         # It tests the bound itself rather than calling ``child_moves``, so a
         # subclass that reorders ``child_moves`` does not reorder this too.
-        serial, weight, utility, k = y
+        serial, weight, utility = y
+        k = len(serial)
         if k == self.n:
             return []
         w, u = self.decided[k]
@@ -162,18 +163,18 @@ class Knapsack(ProblemTheory):
         children = []
         if self._reaches(k + 1, room, utility):
             children.append(
-                tuple.__new__(KnapsackDescriptor, (serial + (0,), weight, utility, k + 1))
+                tuple.__new__(KnapsackDescriptor, (serial + (0,), weight, utility))
             )
         if w <= room and self._reaches(k + 1, room - w, utility + u):
             children.append(
                 tuple.__new__(
-                    KnapsackDescriptor, (serial + (1,), weight + w, utility + u, k + 1)
+                    KnapsackDescriptor, (serial + (1,), weight + w, utility + u)
                 )
             )
         return children
 
     def extract(self, y: KnapsackDescriptor) -> Optional[frozenset[int]]:
-        if y.level != self.n:
+        if len(y.serial) != self.n:
             return None
         order = self._ratio_order
         return frozenset(order[k] for k, bit in enumerate(y.serial) if bit)
@@ -197,7 +198,7 @@ class Knapsack(ProblemTheory):
         # whatever still fits on top of ``other`` fits on top of ``y``, and
         # each move the bound lets ``other`` take, it lets ``y`` take too.
         return (
-            y.level == other.level
+            len(y.serial) == len(other.serial)
             and y.weight <= other.weight
             and y.utility >= other.utility
         )
@@ -206,9 +207,9 @@ class Knapsack(ProblemTheory):
     # high, which the utility test in semi_congruent already implies)
 
     def dominance_key(self, y: KnapsackDescriptor) -> int:
-        return y.level
+        return len(y.serial)
 
     def equivalence_key(self, y: KnapsackDescriptor) -> tuple[int, int, int]:
         # Lighter and at least as useful, with utility negated to minimise;
         # equal keys (equal weight and utility) are mutual dominance.
-        return (y.level, y.weight, -y.utility)
+        return (len(y.serial), y.weight, -y.utility)

@@ -2,9 +2,9 @@
 
 A partial solution is a simple path growing edge by edge from the source
 node.  Its descriptor, an immutable tuple, stores the path once, as its
-edges in walk order plus its end node, weight and level (the edge count);
-the node set is derived from the edges where it is needed, and ``split``
-derives it once for all of a path's children.  A solution is extractable
+edges in walk order plus its end node and weight; the node set is derived
+from the edges where it is needed, and ``split`` derives it once for all of
+a path's children.  A solution is extractable
 as soon as the path's end node is the target.  Paths ending at the same
 node are compared by accumulated weight: the cheaper one
 dominates, which keeps at most one survivor per end node, so the frontier
@@ -45,7 +45,6 @@ class PathDescriptor(NamedTuple):
     serial: tuple[int, ...]  # edge indices in walk order
     end: int
     cost: int
-    level: int  # len(serial)
 
 
 class SinglePairShortestPath(ProblemTheory):
@@ -65,7 +64,7 @@ class SinglePairShortestPath(ProblemTheory):
         self._adj = adjacency(graph)
 
     def initial(self) -> PathDescriptor:
-        return PathDescriptor((), self.source, 0, 0)
+        return PathDescriptor((), self.source, 0)
 
     def _nodes(self, y: PathDescriptor) -> set[int]:
         """The nodes on the path: the source plus both ends of every edge."""
@@ -85,20 +84,17 @@ class SinglePairShortestPath(ProblemTheory):
         return [(w, ei) for ei, other, w in self._adj[y.end] if other not in visited]
 
     def apply_move(self, y: PathDescriptor, move: int) -> PathDescriptor:
-        serial, end, cost, level = y
+        serial, end, cost = y
         a, b, w = self.graph.edges[move]
-        return PathDescriptor(
-            serial + (move,), b if end == a else a, cost + w, level + 1
-        )
+        return PathDescriptor(serial + (move,), b if end == a else a, cost + w)
 
     def split(self, y: PathDescriptor) -> list[PathDescriptor]:
         # ``apply_move`` over ``child_moves``, with the visited set derived
         # once per parent and the end node's incidence list read once.
-        serial, end, cost, level = y
+        serial, end, cost = y
         visited = self._nodes(y)
-        level += 1
         return [
-            tuple.__new__(PathDescriptor, (serial + (ei,), other, cost + w, level))
+            tuple.__new__(PathDescriptor, (serial + (ei,), other, cost + w))
             for ei, other, w in self._adj[end]
             if other not in visited
         ]

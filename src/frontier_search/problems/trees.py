@@ -2,15 +2,15 @@
 
 All three theories here derive from one base and share one descriptor,
 ``TreeDescriptor``: a partial solution is an acyclic edge set, stored once
-in an immutable tuple as its sorted edge indices plus its running cost and
-level (the edge count), that grows by one edge per level until it spans the
-graph.  Node sets, root-path costs and components are derived from that
-edge set by the theory that needs them.  The dominance relation is a strict
-ranking of the children of a common parent, so the undominated frontier
-always has width one (the greedy choice).  Ranking compares
-``(partial_cost, serial)``, which for children of one parent is exactly
-"cheapest added element, smallest edge index on ties".  The derivations
-differ in small systematic changes:
+in an immutable tuple as its sorted edge indices, that grows by one edge per
+level until it spans the graph.  Its level is its edge count, and its cost,
+node set, root-path costs and components are derived from the edges by the
+theory that needs them: ``partial_cost`` is the theory's own ``cost`` of
+the edge set.  The dominance relation is a strict ranking of the children
+of a common parent, so the undominated frontier always has width one (the
+greedy choice).  Ranking compares ``(partial_cost, serial)``, which for
+children of one parent is exactly "cheapest added element, smallest edge
+index on ties".  The derivations differ in small systematic changes:
 
 * minimum spanning tree, forest variant: merge components along the lightest
   edge joining two of them (Kruskal's scheme);
@@ -27,10 +27,10 @@ guarantee is carried by the surviving minimum: the cheapest child of any
 parent extends to a completion at least as good as every sibling's (the
 classic exchange argument), which is exactly what keeping a single
 undominated child per level requires.  The same ranking is the theories'
-``equivalence_key``, ``(level, 0, (cost, serial))``: a level of the search
-holds the children of its one surviving parent, among which key order is
-exactly ``dominates``, so the pipeline (``strictly_ranked`` off) takes the
-keyed sort and sweep rather than testing every pair of siblings.
+``equivalence_key``, ``(level, 0, (partial_cost, serial))``: a level of the
+search holds the children of its one surviving parent, among which key
+order is exactly ``dominates``, so the pipeline (``strictly_ranked`` off)
+takes the keyed sort and sweep rather than testing every pair of siblings.
 
 Both schemes override ``greedy_walk``, the engine's greedy path, with the
 finite-differenced form of their derivation (Paige and Koenig's finite
@@ -59,11 +59,9 @@ from .graphs import Graph, InvalidNode, adjacency, require_connected
 
 
 class TreeDescriptor(NamedTuple):
-    """Acyclic edge set, as its sorted edge indices and running cost."""
+    """Acyclic edge set, as its sorted edge indices."""
 
-    serial: tuple[int, ...]  # sorted edge indices
-    cost: int
-    level: int  # len(serial)
+    serial: tuple[int, ...]
 
 
 def _with_edge(serial: tuple[int, ...], ei: int) -> tuple[int, ...]:
@@ -127,10 +125,13 @@ class _SpanningTreeTheory(ProblemTheory):
         self.graph = graph
 
     def initial(self) -> TreeDescriptor:
-        return TreeDescriptor((), 0, 0)
+        return TreeDescriptor(())
+
+    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
+        return TreeDescriptor(_with_edge(y.serial, move))
 
     def extract(self, y: TreeDescriptor) -> Optional[frozenset[int]]:
-        return frozenset(y.serial) if y.level == self.graph.n - 1 else None
+        return frozenset(y.serial) if len(y.serial) == self.graph.n - 1 else None
 
     def max_depth(self) -> int:
         return self.graph.n - 1
@@ -142,7 +143,7 @@ class _SpanningTreeTheory(ProblemTheory):
         return sum(self.graph.edges[ei][2] for ei in z)
 
     def partial_cost(self, y: TreeDescriptor) -> int:
-        return y.cost
+        return self.cost(y.serial)
 
     def _reachable(self, shared: set[int]) -> bool:
         """Whether an edge set shared by two descriptors is itself one.
@@ -161,11 +162,12 @@ class _SpanningTreeTheory(ProblemTheory):
             return False
         if not self._reachable(mine & theirs):
             return False
-        return (y.cost, y.serial) <= (other.cost, other.serial)
+        cost = self.partial_cost
+        return (cost(y), y.serial) <= (cost(other), other.serial)
 
     def equivalence_key(self, y: TreeDescriptor) -> tuple[int, int, tuple]:
         # A level never recurs as a group, so no ``a`` needs to stay fixed.
-        return (y.level, 0, (y.cost, y.serial))
+        return (len(y.serial), 0, (self.partial_cost(y), y.serial))
 
 
 class _TreeGrowthTheory(_SpanningTreeTheory):
@@ -212,14 +214,6 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         moves.sort(key=itemgetter(1))
         return moves
 
-    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
-        a, b, w = self.graph.edges[move]
-        labels = self._labels(y.serial)
-        inside = a if a in labels else b
-        return TreeDescriptor(
-            _with_edge(y.serial, move), y.cost + labels[inside] + w, y.level + 1
-        )
-
     def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # Equal reached-node sets leave identical crossing-edge choices, so
         # any completing move sequence transfers verbatim.
@@ -244,7 +238,6 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         crossing = len(heap)
         counts: list[int] = []
         added: list[int] = []
-        cost = 0
         for _ in range(self.max_depth()):
             counts.append(crossing)
             if not crossing:
@@ -254,14 +247,13 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
                 inc, ei, v = heappop(heap)
             labels[v] = label = self._label(inc)
             added.append(ei)
-            cost += inc
             for ej, x, w in adj[v]:
                 if x in labels:
                     crossing -= 1
                 else:
                     crossing += 1
                     heappush(heap, (label + w, ej, x))
-        return counts, TreeDescriptor(tuple(sorted(added)), cost, len(added))
+        return counts, TreeDescriptor(tuple(sorted(added)))
 
 
 class PrimSpanningTree(_TreeGrowthTheory):
@@ -286,7 +278,6 @@ class ShortestPathTree(_TreeGrowthTheory):
         return cost
 
     def cost(self, z: frozenset[int]) -> int:
-        # Recomputed from the edge set alone, not from the running cost.
         return sum(tree_distances(self.graph, z, self.root).values())
 
 
@@ -300,11 +291,6 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             for ei, (a, b, w) in enumerate(self.graph.edges)
             if comp[a] != comp[b]
         ]
-
-    def apply_move(self, y: TreeDescriptor, move: int) -> TreeDescriptor:
-        return TreeDescriptor(
-            _with_edge(y.serial, move), y.cost + self.graph.edges[move][2], y.level + 1
-        )
 
     def semi_congruent(self, y: TreeDescriptor, other: TreeDescriptor) -> bool:
         # Equal partitions leave identical joining-edge choices.
@@ -331,12 +317,11 @@ class KruskalSpanningTree(_SpanningTreeTheory):
         order = iter(sorted((w, ei) for ei, (_, _, w) in enumerate(edges)))
         counts: list[int] = []
         added: list[int] = []
-        cost = 0
         for _ in range(self.max_depth()):
             counts.append(joining)
             if not joining:
                 break
-            for w, ei in order:
+            for _, ei in order:
                 a, b, _ = edges[ei]
                 if comp[a] != comp[b]:
                     break
@@ -355,5 +340,4 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             ring[small], ring[large] = ring[large], ring[small]
             size[large] += size[small]
             added.append(ei)
-            cost += w
-        return counts, TreeDescriptor(tuple(sorted(added)), cost, len(added))
+        return counts, TreeDescriptor(tuple(sorted(added)))

@@ -6,20 +6,16 @@ only ever talks to this interface; everything problem-specific (what a
 descriptor is, how it splits, when a complete solution can be read off, how
 partial solutions dominate each other) lives in the theory object.
 
-Descriptors are immutable values and must expose two attributes:
+Descriptors are immutable values and must expose one attribute:
 
 ``serial``
-    A tuple of ints that canonically serializes the descriptor.  Two
+    A tuple of ints that canonically serializes the descriptor, one element
+    per split, so a descriptor's level is ``len(serial)``.  Two
     descriptors denote the same search space iff their serials are equal;
     the engine hashes serials but never orders them.  Its canonical order
     is the order the search generates descriptors in: the frontier's
     order, then each member's ``child_moves`` order.  Each pipeline stage
     keeps that order and, among tied members, the first.
-
-``level``
-    Number of splits separating the descriptor from the initial space.  It
-    may be a stored field: ``apply_move`` then sets it to its parent's plus
-    one, and a ``greedy_walk`` to the number of moves it took.
 
 The engine compares descriptors only by ``serial`` or by identity, never as
 whole values, so a descriptor may be a ``NamedTuple`` even though tuples

@@ -18,7 +18,7 @@ class FullKnapsack(Knapsack):
     """
 
     def child_moves(self, y):
-        k = y.level
+        k = len(y.serial)
         if k == self.n:
             return []
         w, u = self.decided[k]

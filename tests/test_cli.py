@@ -195,6 +195,8 @@ def test_gen_command_byte_identical(capsys):
     ("--items", "-1"),
     ("--max-weight", "-1"),
     ("--max-utility", "-1"),
+    ("--nodes", "0"),
+    ("--capacity", "-1"),
 ])
 @pytest.mark.parametrize("problem", ["spsp", "knapsack"])
 def test_gen_rejects_out_of_range_arguments(capsys, problem, flag, value):
@@ -207,11 +209,14 @@ def test_gen_rejects_out_of_range_arguments(capsys, problem, flag, value):
 
 @pytest.mark.parametrize("flag, value", [
     ("--density", "0"), ("--density", "1"), ("--items", "0"),
-    ("--max-weight", "0"), ("--max-utility", "0"),
+    ("--max-weight", "0"), ("--max-utility", "0"), ("--nodes", "1"),
+    ("--capacity", "0"),
 ])
 def test_gen_accepts_range_boundaries(capsys, flag, value):
+    # ``--nodes`` shapes only graphs, so it is tried on one.
+    problem = "spsp" if flag == "--nodes" else "knapsack"
     code, out, _ = run_main(
-        capsys, ["gen", "--problem", "knapsack", "--seed", "1", flag, value]
+        capsys, ["gen", "--problem", problem, "--seed", "1", flag, value]
     )
     assert code == 0 and out
 

@@ -284,7 +284,7 @@ class StrictCostPrim(PrimSpanningTree):
             return False
         if not self._reachable(mine & theirs):
             return False
-        return y.cost < other.cost
+        return self.partial_cost(y) < self.partial_cost(other)
 
 
 def equal_min_star():

@@ -5,7 +5,7 @@ from conftest import FullKnapsack, assert_stats_ledger
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_knapsack
 from frontier_search.oracles import brute_force, knapsack_dp_ref
-from frontier_search.problems import Knapsack, KnapsackInstance
+from frontier_search.problems import Knapsack, KnapsackDescriptor, KnapsackInstance
 from frontier_search.theory import ProblemTheory
 
 
@@ -23,8 +23,7 @@ def prefix(th, bits):
 def test_initial_prefix_empty():
     th = three_items()
     root = th.initial()
-    assert root.serial == () and root.level == 0
-    assert root.weight == 0 and root.utility == 0
+    assert root == KnapsackDescriptor(serial=(), weight=0, utility=0)
 
 
 def test_split_is_binary_branch():

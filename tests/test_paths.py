@@ -7,7 +7,7 @@ from conftest import assert_stats_ledger
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
 from frontier_search.cli import gen_graph
 from frontier_search.oracles import brute_force, shortest_path_ref
-from frontier_search.problems import Graph, SinglePairShortestPath
+from frontier_search.problems import Graph, PathDescriptor, SinglePairShortestPath
 from frontier_search.problems.graphs import InvalidNode
 
 
@@ -18,15 +18,13 @@ def theory(g, s=0, t=2):
 def test_initial_is_empty_path(triangle):
     th = theory(triangle)
     root = th.initial()
-    assert root.serial == () and root.level == 0
-    assert root.end == 0 and root.cost == 0
+    assert root == PathDescriptor(serial=(), end=0, cost=0)
 
 
 def test_split_from_source(triangle):
     th = theory(triangle)
     children = th.split(th.initial())
     assert [c.serial for c in children] == [(0,), (2,)]
-    assert all(c.level == 1 for c in children)
 
 
 def test_split_avoids_revisits(triangle):

@@ -54,6 +54,7 @@ from frontier_search.problems import (
     PrimSpanningTree,
     ShortestPathTree,
     SinglePairShortestPath,
+    is_connected,
 )
 from frontier_search.theory import Direction, ProblemTheory
 
@@ -153,7 +154,10 @@ def same_level_pairs(theory):
 
 def best_completion(theory, y):
     costs = [
-        c for _, _, c in enumerate_extensions(theory, y, theory.max_depth() - y.level)
+        c
+        for _, _, c in enumerate_extensions(
+            theory, y, theory.max_depth() - len(y.serial)
+        )
     ]
     if not costs:
         return None
@@ -190,7 +194,9 @@ def replay_transfers(theory, y, completions):
 def assert_replay_soundness(theory):
     for layer in enumerate_levels(theory):
         completions = {
-            y.serial: enumerate_extensions(theory, y, theory.max_depth() - y.level)
+            y.serial: enumerate_extensions(
+                theory, y, theory.max_depth() - len(y.serial)
+            )
             for y in layer
         }
         for y in layer:
@@ -318,7 +324,15 @@ def test_spsp_pairwise_unsoundness_is_harmless_in_level_search():
 
 
 def test_partial_cost_compositional_over_splits():
-    for theory in path_theories(3) + tree_theories(3) + knapsack_theories(3):
+    # The parallel-edge graphs add parallel and zero-weight edges, and the
+    # tree theories' ``partial_cost`` is their ``cost``, so each
+    # increment is held to the cost of the child's edge set.
+    theories = path_theories(3) + tree_theories(3) + knapsack_theories(3)
+    for g in filter(is_connected, parallel_edge_graphs(8)):
+        theories += [
+            PrimSpanningTree(g, 0), ShortestPathTree(g, 0), KruskalSpanningTree(g)
+        ]
+    for theory in theories:
         for layer in enumerate_levels(theory):
             for y in layer:
                 for inc, move in theory.child_moves(y):
@@ -344,19 +358,21 @@ def test_dominance_key_sound_partition():
 
 
 def test_level_increments_by_one_per_split():
-    # ``level`` is stored, so it must agree with the serial it counts, and a
-    # descriptor is an immutable value: none of its fields can be assigned.
+    # A descriptor's level is ``len(serial)``: the root's serial is empty,
+    # each split extends its parent's by one element, and a descriptor is an
+    # immutable value whose serial cannot be assigned.
     for theory in path_theories(2) + tree_theories(2) + knapsack_theories(2):
-        root = theory.initial()
-        assert root.level == 0
-        for layer in enumerate_levels(theory):
+        assert theory.initial().serial == ()
+        for level, layer in enumerate(enumerate_levels(theory)):
             for y in layer:
-                assert y.level == len(y.serial)
-                for field in ("serial", "level"):
-                    with pytest.raises(AttributeError):
-                        setattr(y, field, getattr(y, field))
+                assert len(y.serial) == level
+                with pytest.raises(AttributeError):
+                    y.serial = y.serial
                 for child in theory.split(y):
-                    assert child.level == y.level + 1
+                    # One element inserted: appended for paths and knapsack,
+                    # in sorted place for the trees' edge sets.
+                    c = child.serial
+                    assert y.serial in [c[:i] + c[i + 1 :] for i in range(len(c))]
 
 
 def parallel_edge_graphs(count=4, seed=700):
@@ -592,7 +608,7 @@ def test_knapsack_bound_keeps_every_move_that_can_reach_the_incumbent(inst):
             for inc, move in every:
                 child = full.apply_move(y, move)
                 room = inst.capacity - child.weight
-                if child.utility + best_rest(child.level, room) >= th.incumbent:
+                if child.utility + best_rest(len(child.serial), room) >= th.incumbent:
                     assert (inc, move) in kept, (y, move)
 
 
@@ -633,7 +649,7 @@ def test_bounded_knapsack_levels_are_the_full_levels_the_bound_admits():
             assert frontier == [
                 y
                 for y in full_frontier
-                if th._reaches(y.level, th.capacity - y.weight, y.utility)
+                if th._reaches(len(y.serial), th.capacity - y.weight, y.utility)
             ]
 
 

@@ -188,8 +188,8 @@ def test_rooted_dominance_needs_a_common_parent(make, weighted_triangle):
 
 
 def test_split_children_satisfy_tree_invariants():
-    # Descriptors store only the edge set and cost; node sets and root-path
-    # costs are derived from ``serial`` and must agree with it.
+    # Descriptors store only the edge set; node sets, root-path costs and
+    # the partial cost are derived from ``serial`` and must agree with it.
     g = Graph(4, ((0, 1, 3), (0, 2, 1), (1, 2, 1), (1, 3, 2), (2, 3, 4)))
     th = ShortestPathTree(g, 0)
     for layer in enumerate_levels(th, 3):
@@ -200,8 +200,8 @@ def test_split_children_satisfy_tree_invariants():
                 nodes.update((a, b))
             assert all(a < b for a, b in zip(y.serial, y.serial[1:]))
             dist = tree_distances(g, frozenset(y.serial), 0)
-            assert set(dist) == nodes and len(nodes) == y.level + 1
-            assert y.cost == sum(d for v, d in dist.items())
+            assert set(dist) == nodes and len(nodes) == len(y.serial) + 1
+            assert th.partial_cost(y) == sum(d for v, d in dist.items())
             crossing = [
                 ei for ei, (a, b, _) in enumerate(g.edges) if (a in nodes) != (b in nodes)
             ]
@@ -209,7 +209,7 @@ def test_split_children_satisfy_tree_invariants():
             for inc, ei in th.child_moves(y):
                 a, b, w = g.edges[ei]
                 assert inc == dist[a if a in nodes else b] + w
-                assert th.apply_move(y, ei).cost == y.cost + inc
+                assert th.partial_cost(th.apply_move(y, ei)) == th.partial_cost(y) + inc
 
 
 def test_forest_component_cache_coherent():
@@ -227,7 +227,7 @@ def test_forest_component_cache_coherent():
                 ca, cb = comp[a], comp[b]
                 lo, hi = min(ca, cb), max(ca, cb)
                 comp = [lo if c == hi else c for c in comp]
-            assert y.cost == sum(g.edges[ei][2] for ei in y.serial)
+            assert th.partial_cost(y) == sum(g.edges[ei][2] for ei in y.serial)
             joining = [
                 (w, ei) for ei, (a, b, w) in enumerate(g.edges) if comp[a] != comp[b]
             ]
