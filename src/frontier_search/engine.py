@@ -3,28 +3,30 @@
 The solver keeps one frontier of undominated, pairwise-distinct descriptors
 per depth level and runs each level through a fixed pipeline:
 
-    expand -> dedupe -> reduce_equivalent -> filter_dominated -> collect_locals
+    expand -> reduce_equivalent -> filter_dominated -> collect_locals
 
 Feasible solutions are read off each post-prune frontier (including the
 initial one) and the cost-extremal filter is applied to all of them once at
 the end.  The search stops when the frontier empties or at the theory's
 ``max_depth()``, the only depth bound.
 
-When a theory gives an ``equivalence_key``, dominance within a group is a
-2-D order: ``reduce_equivalent`` merges members with equal keys, and
-``filter_dominated`` finds the undominated members with one sort and a sweep
-(the Pareto-list method of Nemhauser and Ullmann, and of Kung, Luccio and
-Preparata).  Without one, both stages test pairs of members with
-``dominates`` within each ``dominance_key`` group; that pairwise path is also
-the reference the keyed one is tested against.
+``reduce_equivalent`` removes duplicate serials and merges mutual
+dominances.  When a theory gives an ``equivalence_key``, dominance within a
+group is a 2-D order: ``reduce_equivalent`` keys each child once and passes
+the keys on with the representatives, and ``filter_dominated`` finds the
+undominated members with one sort and a sweep (the Pareto-list method of
+Nemhauser and Ullmann, and of Kung, Luccio and Preparata).  Without one,
+``reduce_equivalent`` runs ``dedupe`` first, and both stages test pairs of
+members with ``dominates`` within each ``dominance_key`` group; that
+pairwise path is also the reference the keyed one is tested against.
 
 Dominance also reaches back across levels.  ``solve`` keeps one history per
 run of what each group kept at earlier levels, and ``filter_dominated``
 drops a member that an earlier level strictly dominates: its ``b`` is above
-the group's lowest earlier ``b`` (keyed), or an earlier survivor dominates it
-without being dominated back (pairwise).  Ties across levels survive.  A
-theory whose groups encode the level (knapsack, ``IdentityDominance``) is
-unaffected; for spsp a node's cheapest earlier path prunes every costlier
+the group's lowest earlier ``b`` (keyed, checked before the sort), or an
+earlier survivor dominates it without being dominated back (pairwise).
+Ties across levels survive.  A theory whose groups encode the level
+(knapsack, ``IdentityDominance``) is unaffected; for spsp a node's cheapest earlier path prunes every costlier
 path that reaches it later, as Dijkstra's labels do.
 
 When a theory declares ``strictly_ranked``, every level keeps exactly one
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .theory import Direction, ProblemTheory, Solution
 
@@ -128,21 +130,45 @@ def dedupe(children: Iterable[Any]) -> tuple[list[Any], int]:
     return list(first.values()), n - len(first)
 
 
-def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[Any], int]:
-    """Collapse mutual-dominance classes to their first member.
+def reduce_equivalent(theory: ProblemTheory, children: list[Any]) -> tuple[Any, int, int]:
+    """Drop duplicates and collapse mutual-dominance classes to their first member.
 
-    ``spaces`` must be deduped, as ``dedupe`` leaves them.  Survivors keep
-    their input order, and each class is represented by its first member in
-    that order: in the engine, the first generated.
+    Returns ``(reps, merged, duplicates)``.  Each class is represented by its
+    first member in input order (in the engine, the first generated), and
+    ``reps`` keeps that order: a dict from equivalence key to representative
+    on the keyed path, a list on the pairwise path.  Either way
+    ``len(reps)`` is the number of representatives, and ``filter_dominated``
+    takes ``reps`` as it is.
+
+    Keyed, ``equivalence_key`` is called once per child.  Equal serials give
+    equal keys, so every copy of a serial falls in one run of equal keys: a
+    tied member is a duplicate when its serial equals that of an earlier
+    member of its run, and merged otherwise.  Only the members of runs
+    longer than one are hashed by serial.  The pairwise path runs ``dedupe``
+    first, then compares each member with the representative of every class
+    found so far in its ``dominance_key`` group.
     """
     key = theory.equivalence_key
     if key is not None:
         reps_by_key: dict = {}
-        for y in spaces:
-            reps_by_key.setdefault(key(y), y)
-        return list(reps_by_key.values()), len(spaces) - len(reps_by_key)
-    # Pairwise fallback: compare against the representative of every class
-    # found so far within the same dominance-key group.
+        tied = []
+        for y in children:
+            k = key(y)
+            if k in reps_by_key:
+                tied.append((k, y))
+            else:
+                reps_by_key[k] = y
+        # One set for all runs of tied keys: a serial can only repeat within
+        # its own run.
+        serials = {reps_by_key[k].serial for k, _ in tied}
+        duplicates = 0
+        for _, y in tied:
+            if y.serial in serials:
+                duplicates += 1
+            else:
+                serials.add(y.serial)
+        return reps_by_key, len(tied) - duplicates, duplicates
+    spaces, duplicates = dedupe(children)
     merged = 0
     reps: list[Any] = []
     groups: dict = {}
@@ -155,24 +181,22 @@ def reduce_equivalent(theory: ProblemTheory, spaces: list[Any]) -> tuple[list[An
         else:
             group.append(y)
             reps.append(y)
-    return reps, merged
+    return reps, merged, duplicates
 
 
-def filter_dominated(
-    theory: ProblemTheory, reps: list[Any], history: dict
-) -> tuple[list[Any], int]:
+def filter_dominated(theory: ProblemTheory, reps: Any, history: dict) -> tuple[list[Any], int]:
     """Remove every member strictly dominated by another representative.
 
-    ``reps`` must be free of mutual dominances, which makes survival
-    order-independent.  Survivors keep their input order.  ``history`` holds
-    what earlier levels of one run left behind, per dominance group: the
-    lowest surviving ``b`` on the keyed path, every survivor on the pairwise
-    path.  A member strictly dominated by an earlier level is removed too,
-    and the level's survivors are added to ``history``; a run's first level
-    starts with an empty one.
+    ``reps`` is what ``reduce_equivalent`` returns: free of mutual
+    dominances, which makes survival order-independent.  Survivors keep its
+    order.  ``history`` holds what earlier levels of one run left behind, per
+    dominance group: the lowest surviving ``b`` on the keyed path, every
+    survivor on the pairwise path.  A member strictly dominated by an earlier
+    level is removed too, and the level's survivors are added to
+    ``history``; a run's first level starts with an empty one.
     """
     if theory.equivalence_key is not None:
-        return _pareto_sweep(theory.equivalence_key, reps, history)
+        return _pareto_sweep(reps, history)
     keys = [theory.dominance_key(y) for y in reps]
     groups: dict = {}
     for y, k in zip(reps, keys):
@@ -195,36 +219,35 @@ def filter_dominated(
 _NO_GROUP: Any = object()
 
 
-def _pareto_sweep(
-    key: Callable[[Any], tuple], reps: list[Any], history: dict
-) -> tuple[list[Any], int]:
-    """``filter_dominated`` for dominance given as an ``equivalence_key`` order.
+def _pareto_sweep(reps: dict, history: dict) -> tuple[list[Any], int]:
+    """``filter_dominated`` for ``reps`` keyed by their ``equivalence_key``.
 
-    In ``(group, a, b)`` order a member is dominated within its level exactly
-    when an earlier member of its group has a ``b`` no greater.
-    ``reduce_equivalent`` has already merged equal keys, so the strict test
-    is exact.  A group that recurs across levels keeps one ``a``, so an
-    earlier level dominates a member exactly when the group's lowest
-    earlier ``b`` in ``history`` is strictly smaller; ties survive.
+    A group that recurs across levels keeps one ``a``, so an earlier level
+    dominates a member exactly when the group's lowest earlier ``b`` in
+    ``history`` is strictly smaller; ties survive.  Such members are dropped
+    first, before the sort.  In ``(group, a, b)`` order a remaining member is
+    dominated within its level exactly when an earlier member of its group
+    has a ``b`` no greater; the keys are distinct, so the strict test is
+    exact.
     """
-    keys = [key(y) for y in reps]
-    keep = [False] * len(reps)
+    earlier = history.get
+    live = [k for k in reps if (h := earlier(k[0])) is None or k[2] <= h]
+    kept = set()
     group: Any = _NO_GROUP
     lowest: Any = None
-    for i in sorted(range(len(reps)), key=keys.__getitem__):
-        g, _, b = keys[i]
+    for k in sorted(live):
+        g, _, b = k
         if g != group:
             if group is not _NO_GROUP:
                 history[group] = lowest
-            group, earlier = g, history.get(g)
-            keep[i] = earlier is None or b <= earlier
-            lowest = b if keep[i] else earlier
+            group, lowest = g, b
+            kept.add(k)
         elif b < lowest:
             lowest = b
-            keep[i] = True
+            kept.add(k)
     if group is not _NO_GROUP:
         history[group] = lowest
-    survivors = [y for y, k in zip(reps, keep) if k]
+    survivors = [reps[k] for k in live if k in kept]
     return survivors, len(reps) - len(survivors)
 
 
@@ -288,10 +311,9 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
             children = expand(theory, frontier)
             raw = len(children)
             generated += raw
-            children, n_dup = dedupe(children)
-            duplicates += n_dup
-            reps, n_merged = reduce_equivalent(theory, children)
+            reps, n_merged, n_dup = reduce_equivalent(theory, children)
             merged += n_merged
+            duplicates += n_dup
             survivors, n_pruned = filter_dominated(theory, reps, history)
             pruned += n_pruned
 

@@ -82,11 +82,11 @@ class ProblemTheory(ABC):
     #: dominance is a 2-D order with both coordinates minimised, so negate
     #: one to maximise it.  Equal keys are then exactly mutual dominance.
     #: Keys must be hashable and mutually orderable, and a group that recurs
-    #: across levels must keep one ``a``.  The engine merges equal keys and
-    #: filters dominated members with one sort and sweep per level, and drops
-    #: a member whose ``b`` is strictly above the lowest ``b`` its group kept
-    #: at an earlier level; ``None`` makes both stages fall back to pairwise
-    #: ``dominates`` tests.
+    #: across levels must keep one ``a``.  The engine calls it once per
+    #: child, merges equal keys, drops a member whose ``b`` is strictly above
+    #: the lowest ``b`` its group kept at an earlier level, and filters the
+    #: rest with one sort and sweep per level; ``None`` makes both stages
+    #: fall back to pairwise ``dominates`` tests.
     equivalence_key: Optional[Callable[[Any], tuple]] = None
 
     # -- space structure ---------------------------------------------------
@@ -226,8 +226,9 @@ def _serials_equal(y: Any, other: Any) -> bool:
 
 
 def _serial_key(y: Any) -> tuple:
-    # Each serial is its own group, so the keyed stages run in linear time
-    # and, after dedupe, merge and prune nothing.
+    # Each serial is its own group, so equal keys are exactly duplicates:
+    # the keyed stages run in linear time, count every tie as a duplicate,
+    # and merge and prune nothing.
     return (y.serial, 0, 0)
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from conftest import FullKnapsack, assert_stats_ledger, bounded
@@ -132,26 +134,32 @@ def test_first_generated_representative_survives_a_merge(keyed):
 # -- reduce_equivalent / filter_dominated ------------------------------------
 
 
+def keyed(theory, spaces):
+    """``spaces`` by ``equivalence_key``, as keyed ``reduce_equivalent`` returns them."""
+    return {theory.equivalence_key(y): y for y in spaces}
+
+
 def test_reduce_merges_equal_cost_paths_to_same_node(diamond):
     th = SinglePairShortestPath(diamond, 0, 3)
     left = th.apply_move(th.initial(), 0)
     right = th.apply_move(th.initial(), 1)
-    reps, merged = reduce_equivalent(th, [left, right])
+    reps, merged, duplicates = reduce_equivalent(th, [left, right])
     # Both end at different nodes: nothing merges.
-    assert merged == 0 and len(reps) == 2
+    assert merged == 0 and len(reps) == 2 and duplicates == 0
     # One more level: both paths reach node 3 at cost 2 and merge.
     lchild = th.apply_move(left, 2)
     rchild = th.apply_move(right, 3)
-    reps, merged = reduce_equivalent(th, sorted([lchild, rchild], key=lambda y: y.serial))
-    assert merged == 1
-    assert [r.serial for r in reps] == [(0, 2)]  # first kept
+    reps, merged, duplicates = reduce_equivalent(
+        th, sorted([lchild, rchild], key=lambda y: y.serial))
+    assert merged == 1 and duplicates == 0
+    assert [r.serial for r in reps.values()] == [(0, 2)]  # first kept
 
 
 def test_reduce_singleton_unchanged(triangle):
     th = SinglePairShortestPath(triangle, 0, 2)
     y = th.apply_move(th.initial(), 0)
-    reps, merged = reduce_equivalent(th, [y])
-    assert reps == [y] and merged == 0
+    reps, merged, duplicates = reduce_equivalent(th, [y])
+    assert list(reps.values()) == [y] and merged == 0 and duplicates == 0
 
 
 def test_reduce_merges_equal_weight_equal_utility_prefixes():
@@ -159,8 +167,9 @@ def test_reduce_merges_equal_weight_equal_utility_prefixes():
     a = th.apply_move(th.apply_move(th.initial(), 1), 0)  # select item 0
     b = th.apply_move(th.apply_move(th.initial(), 0), 1)  # select item 1
     assert th.dominates(a, b) and th.dominates(b, a)
-    reps, merged = reduce_equivalent(th, sorted([a, b], key=lambda y: y.serial))
-    assert merged == 1 and [r.serial for r in reps] == [(0, 1)]
+    reps, merged, duplicates = reduce_equivalent(th, sorted([a, b], key=lambda y: y.serial))
+    assert merged == 1 and [r.serial for r in reps.values()] == [(0, 1)]
+    assert duplicates == 0
 
 
 def test_reduce_pairwise_fallback_matches_keyed_path(diamond):
@@ -171,8 +180,21 @@ def test_reduce_pairwise_fallback_matches_keyed_path(diamond):
     keyed = reduce_equivalent(th, spaces)
     th.equivalence_key = None  # force the generic pairwise path
     pairwise = reduce_equivalent(th, spaces)
-    assert [y.serial for y in keyed[0]] == [y.serial for y in pairwise[0]]
-    assert keyed[1] == pairwise[1]
+    assert [y.serial for y in keyed[0].values()] == [y.serial for y in pairwise[0]]
+    assert keyed[1:] == pairwise[1:]
+
+
+def test_reduce_counts_a_repeated_serial_as_a_duplicate(weighted_triangle):
+    # Under IdentityDominance equal keys are equal serials: the edge set
+    # {0, 1} reached in either order is one duplicate, not a merge.
+    th = IdentityDominance(KruskalSpanningTree(weighted_triangle))
+    root = th.initial()
+    via_01 = th.apply_move(th.apply_move(root, 0), 1)
+    via_10 = th.apply_move(th.apply_move(root, 1), 0)
+    via_02 = th.apply_move(th.apply_move(root, 0), 2)
+    reps, merged, duplicates = reduce_equivalent(th, [via_01, via_02, via_10, via_01])
+    assert list(reps.values()) == [via_01, via_02]
+    assert merged == 0 and duplicates == 2
 
 
 def test_filter_keeps_cheapest_path_per_end_node():
@@ -180,14 +202,14 @@ def test_filter_keeps_cheapest_path_per_end_node():
     th = SinglePairShortestPath(g, 0, 2)
     cheap = th.apply_move(th.apply_move(th.initial(), 0), 1)  # cost 2 to node 2
     dear = th.apply_move(th.initial(), 2)  # cost 5 to node 2
-    survivors, pruned = filter_dominated(th, [cheap, dear], {})
+    survivors, pruned = filter_dominated(th, keyed(th, [cheap, dear]), {})
     assert survivors == [cheap] and pruned == 1
 
 
 def test_filter_incomparable_set_unchanged():
     th = full_knapsack3()
     out, inn = th.split(th.initial())  # (w0,u0) vs (w2,u3): incomparable
-    survivors, pruned = filter_dominated(th, [out, inn], {})
+    survivors, pruned = filter_dominated(th, keyed(th, [out, inn]), {})
     assert survivors == [out, inn] and pruned == 0
 
 
@@ -197,12 +219,12 @@ def test_filter_sweep_matches_pairwise_on_knapsack_levels():
     pairwise.equivalence_key = None  # force the generic pairwise path
     frontier = [th.initial()]
     while frontier:
-        children, _ = dedupe(expand(th, frontier))
-        reduced = reduce_equivalent(th, children)
-        assert reduced == reduce_equivalent(pairwise, children)
-        reps = reduced[0]
+        children = expand(th, frontier)
+        reps, *counts = reduce_equivalent(th, children)
+        pairwise_reps, *pairwise_counts = reduce_equivalent(pairwise, children)
+        assert list(reps.values()) == pairwise_reps and counts == pairwise_counts
         swept = filter_dominated(th, reps, {})
-        assert swept == filter_dominated(pairwise, reps, {})
+        assert swept == filter_dominated(pairwise, pairwise_reps, {})
         frontier = swept[0]
 
 
@@ -213,14 +235,14 @@ def test_filter_sweep_keeps_input_order_across_groups():
     cheap_3 = th.apply_move(th.apply_move(root, 0), 3)  # 0-1-3, cost 2
     dear_3 = th.apply_move(th.apply_move(root, 1), 4)  # 0-2-3, cost 14
     to_2 = th.apply_move(th.apply_move(root, 0), 2)  # 0-1-2, cost 2
-    survivors, pruned = filter_dominated(th, [cheap_3, dear_3, to_2], {})
+    survivors, pruned = filter_dominated(th, keyed(th, [cheap_3, dear_3, to_2]), {})
     assert survivors == [cheap_3, to_2] and pruned == 1
 
 
 def test_filter_mst_children_single_survivor(weighted_triangle):
     th = PrimSpanningTree(weighted_triangle, 0)
     children = th.split(th.initial())
-    survivors, pruned = filter_dominated(th, children, {})
+    survivors, pruned = filter_dominated(th, keyed(th, children), {})
     assert len(survivors) == 1 and pruned == len(children) - 1
     assert survivors[0].serial == (0,)  # the weight-1 edge
 
@@ -420,6 +442,46 @@ def test_greedy_fast_path_matches_generic_pipeline(make):
             generic_theory.strictly_ranked = False
             generic = solve(bounded(generic_theory, depth_bound), config)
             assert fast == generic, (g, depth_bound)
+
+
+def counting_key(theory):
+    """A copy of ``theory`` whose ``equivalence_key`` counts its calls."""
+    copied, calls, key = copy.copy(theory), [0], theory.equivalence_key
+
+    def counted(y):
+        calls[0] += 1
+        return key(y)
+
+    copied.equivalence_key = counted
+    return copied, calls
+
+
+def ranked_off(theory):
+    copied = copy.copy(theory)
+    copied.strictly_ranked = False
+    return copied
+
+
+KEY_CALL_THEORIES = {
+    "knapsack": lambda: Knapsack(gen_knapsack(40, None, 100, 100, 4)),
+    "spsp": lambda: SinglePairShortestPath(gen_graph(40, 0.2, 9, 4), 0, 39),
+    "sssp": lambda: ranked_off(ShortestPathTree(gen_graph(25, 0.3, 9, 4), 0)),
+    "prim": lambda: ranked_off(PrimSpanningTree(gen_graph(25, 0.3, 9, 4), 0)),
+    "kruskal": lambda: ranked_off(KruskalSpanningTree(gen_graph(25, 0.3, 9, 4))),
+    "identity-knapsack": lambda: IdentityDominance(FullKnapsack(gen_knapsack(9, None, 9, 9, 4))),
+    "identity-kruskal": lambda: IdentityDominance(KruskalSpanningTree(gen_graph(6, 0.6, 3, 4))),
+    "identity-sssp": lambda: IdentityDominance(ShortestPathTree(gen_graph(6, 0.6, 3, 4), 0)),
+}
+
+
+@pytest.mark.parametrize("problem", list(KEY_CALL_THEORIES))
+def test_keyed_path_calls_equivalence_key_once_per_generated_child(problem):
+    th, calls = counting_key(KEY_CALL_THEORIES[problem]())
+    stats = solve(th).stats
+    assert stats.generated > 0 and calls[0] == stats.generated
+    if problem in ("identity-kruskal", "identity-sssp"):
+        # Edge sets reached in either order: the tied children are duplicates.
+        assert stats.duplicates_removed > 0
 
 
 def test_no_dominance_wrapper_same_cost_more_width(diamond):

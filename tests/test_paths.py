@@ -209,6 +209,23 @@ def test_cross_level_strictly_costlier_path_is_pruned(keyed):
     assert_stats_ledger(result.stats)
 
 
+@pytest.mark.parametrize("keyed", [True, False])
+def test_cross_level_equal_cost_paths_merge_before_the_prune(keyed):
+    # At level 2, (1, 2) and (3, 4) both reach node 2 at cost 2, above the
+    # level-1 path (0,) at cost 0.  They merge into (1, 2), which is then
+    # pruned: one merge and one prune, not two prunes.  (0, 2) and (0, 4)
+    # tie the level-1 costs of nodes 1 and 3 and survive.
+    th = theory(Graph(4, ((0, 2, 0), (0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 1))))
+    if not keyed:
+        th.equivalence_key = None  # force the generic pairwise path
+    result = solve(th)
+    assert result.optima == {(0,)} and result.optimal_cost == 0
+    assert result.stats.per_level_width == ((3, 3), (4, 2), (0, 0))
+    assert result.stats.equivalence_merged == 1
+    assert result.stats.dominated_pruned == 1
+    assert_stats_ledger(result.stats)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_solve_matches_dijkstra_at_scale(seed):
     g = gen_graph(1000, 0.01, 1000, seed)

@@ -39,7 +39,6 @@ from conftest import (
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_graph, gen_knapsack
 from frontier_search.engine import (
-    dedupe,
     expand,
     filter_dominated,
     opt_c,
@@ -639,12 +638,10 @@ def test_bounded_knapsack_levels_are_the_full_levels_the_bound_admits():
         history, full_history = {}, {}
         while full_frontier:
             frontier = filter_dominated(
-                th, reduce_equivalent(th, dedupe(expand(th, frontier))[0])[0], history
+                th, reduce_equivalent(th, expand(th, frontier))[0], history
             )[0]
             full_frontier = filter_dominated(
-                full,
-                reduce_equivalent(full, dedupe(expand(full, full_frontier))[0])[0],
-                full_history,
+                full, reduce_equivalent(full, expand(full, full_frontier))[0], full_history
             )[0]
             assert frontier == [
                 y

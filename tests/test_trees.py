@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from conftest import (
     enumerate_levels,
 )
 
-from frontier_search import EngineConfig, Mode, solve
+from frontier_search import EngineConfig, IdentityDominance, Mode, solve
 from frontier_search.cli import gen_graph
 from frontier_search.oracles import mst_ref, shortest_path_ref
 from frontier_search.problems import (
@@ -344,6 +346,35 @@ def test_equivalence_key_order_equals_dominates_on_siblings(g, problem, data):
             for b in children:
                 assert_key_matches_dominates(th, a, b)
         y = data.draw(st.sampled_from(children))
+
+
+def identity_keyed_and_pairwise(problem, g):
+    """``IdentityDominance`` of the keyed tree pipeline, and its copy
+    without an ``equivalence_key``."""
+    keyed = IdentityDominance(walk_variants(problem, g)[2])
+    pairwise = copy.copy(keyed)
+    pairwise.equivalence_key = None
+    return keyed, pairwise
+
+
+@given(tied_multigraphs().filter(lambda g: g.m <= 9), st.sampled_from(sorted(TREE_THEORIES)))
+@settings(max_examples=100, deadline=None)
+def test_keyed_duplicate_count_equals_pairwise_under_identity_dominance(g, problem):
+    # An edge set reached in several orders is a run of equal keys whose
+    # members share one serial: all duplicates, none merged.
+    keyed, pairwise = identity_keyed_and_pairwise(problem, g)
+    assert solve(keyed) == solve(pairwise)
+
+
+@pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
+def test_identity_dominance_counts_each_repeated_edge_set_as_a_duplicate(
+    problem, weighted_triangle
+):
+    keyed, pairwise = identity_keyed_and_pairwise(problem, weighted_triangle)
+    result = solve(keyed)
+    assert result == solve(pairwise)
+    assert result.stats.duplicates_removed > 0
+    assert result.stats.equivalence_merged == result.stats.dominated_pruned == 0
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
