@@ -134,7 +134,7 @@ def test_first_generated_representative_survives_a_merge(keyed):
 # -- reduce_equivalent / filter_dominated ------------------------------------
 
 
-def keyed(theory, spaces):
+def by_key(theory, spaces):
     """``spaces`` by ``equivalence_key``, as keyed ``reduce_equivalent`` returns them."""
     return {theory.equivalence_key(y): y for y in spaces}
 
@@ -184,9 +184,10 @@ def test_reduce_pairwise_fallback_matches_keyed_path(diamond):
     assert keyed[1:] == pairwise[1:]
 
 
-def test_reduce_counts_a_repeated_serial_as_a_duplicate(weighted_triangle):
+def test_reduce_counts_a_repeated_serial_as_a_duplicate(weighted_triangle, diamond):
     # Under IdentityDominance equal keys are equal serials: the edge set
-    # {0, 1} reached in either order is one duplicate, not a merge.
+    # {0, 1} reached in either order is a duplicate, not a merge, and so is
+    # a second copy of one object.
     th = IdentityDominance(KruskalSpanningTree(weighted_triangle))
     root = th.initial()
     via_01 = th.apply_move(th.apply_move(root, 0), 1)
@@ -195,6 +196,15 @@ def test_reduce_counts_a_repeated_serial_as_a_duplicate(weighted_triangle):
     reps, merged, duplicates = reduce_equivalent(th, [via_01, via_02, via_10, via_01])
     assert list(reps.values()) == [via_01, via_02]
     assert merged == 0 and duplicates == 2
+    # One run of equal keys holding a repeated serial and another serial:
+    # one duplicate and one merge, as on the pairwise path.
+    th = SinglePairShortestPath(diamond, 0, 3)
+    left, right = (th.apply_move(th.apply_move(th.initial(), a), b) for a, b in ((0, 2), (1, 3)))
+    left_again = th.apply_move(th.apply_move(th.initial(), 0), 2)
+    reps, merged, duplicates = reduce_equivalent(th, [left, right, left_again])
+    assert list(reps.values()) == [left] and merged == 1 and duplicates == 1
+    th.equivalence_key = None  # force the generic pairwise path
+    assert reduce_equivalent(th, [left, right, left_again]) == ([left], 1, 1)
 
 
 def test_filter_keeps_cheapest_path_per_end_node():
@@ -202,14 +212,14 @@ def test_filter_keeps_cheapest_path_per_end_node():
     th = SinglePairShortestPath(g, 0, 2)
     cheap = th.apply_move(th.apply_move(th.initial(), 0), 1)  # cost 2 to node 2
     dear = th.apply_move(th.initial(), 2)  # cost 5 to node 2
-    survivors, pruned = filter_dominated(th, keyed(th, [cheap, dear]), {})
+    survivors, pruned = filter_dominated(th, by_key(th, [cheap, dear]), {})
     assert survivors == [cheap] and pruned == 1
 
 
 def test_filter_incomparable_set_unchanged():
     th = full_knapsack3()
     out, inn = th.split(th.initial())  # (w0,u0) vs (w2,u3): incomparable
-    survivors, pruned = filter_dominated(th, keyed(th, [out, inn]), {})
+    survivors, pruned = filter_dominated(th, by_key(th, [out, inn]), {})
     assert survivors == [out, inn] and pruned == 0
 
 
@@ -235,14 +245,14 @@ def test_filter_sweep_keeps_input_order_across_groups():
     cheap_3 = th.apply_move(th.apply_move(root, 0), 3)  # 0-1-3, cost 2
     dear_3 = th.apply_move(th.apply_move(root, 1), 4)  # 0-2-3, cost 14
     to_2 = th.apply_move(th.apply_move(root, 0), 2)  # 0-1-2, cost 2
-    survivors, pruned = filter_dominated(th, keyed(th, [cheap_3, dear_3, to_2]), {})
+    survivors, pruned = filter_dominated(th, by_key(th, [cheap_3, dear_3, to_2]), {})
     assert survivors == [cheap_3, to_2] and pruned == 1
 
 
 def test_filter_mst_children_single_survivor(weighted_triangle):
     th = PrimSpanningTree(weighted_triangle, 0)
     children = th.split(th.initial())
-    survivors, pruned = filter_dominated(th, keyed(th, children), {})
+    survivors, pruned = filter_dominated(th, by_key(th, children), {})
     assert len(survivors) == 1 and pruned == len(children) - 1
     assert survivors[0].serial == (0,)  # the weight-1 edge
 
