@@ -183,9 +183,9 @@ class RunReport:
     optimal_cost: Optional[int]
     witness: Optional[list[int]]
     stats: SearchStats
-    oracle_cost: Optional[int] = None
-    oracle_ran: bool = False
-    ms: float = 0.0
+    oracle_cost: Optional[int]
+    oracle_ran: bool
+    ms: float
 
     @property
     def agree(self) -> Optional[bool]:
@@ -289,19 +289,18 @@ def run_solve(args, with_oracle: bool) -> RunReport:
     start = time.perf_counter()
     result = solve(theory, EngineConfig(mode=Mode(args.mode)))
     ms = (time.perf_counter() - start) * 1000
-    report = RunReport(
+    oracle_cost = _oracle_cost(args.problem, theory, instance) if with_oracle else None
+    return RunReport(
         problem=args.problem,
         instance=_instance_summary(args.problem, instance),
         mode=args.mode,
         optimal_cost=result.optimal_cost,
         witness=_witness(result),
         stats=result.stats,
+        oracle_cost=oracle_cost,
+        oracle_ran=with_oracle,
         ms=ms,
     )
-    if with_oracle:
-        report.oracle_cost = _oracle_cost(args.problem, theory, instance)
-        report.oracle_ran = True
-    return report
 
 
 def _emit(report: RunReport, as_json: bool) -> None:
@@ -374,24 +373,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(text)
         return 0
 
-    if args.command == "solve":
-        report = run_solve(args, with_oracle=False)
-        _emit(report, args.as_json)
-        return 0
-
-    if args.command == "compare":
-        report = run_solve(args, with_oracle=True)
-        _emit(report, args.as_json)
-        return 0 if report.agree else 1
-
+    report = run_solve(args, with_oracle=args.command == "compare")
     if args.command == "stats":
-        report = run_solve(args, with_oracle=False)
         sys.stdout.write("level raw undominated\n")
         for level, (raw, undom) in enumerate(report.stats.per_level_width, start=1):
             sys.stdout.write(f"{level} {raw} {undom}\n")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    else:
+        _emit(report, args.as_json)
+    return 1 if report.agree is False else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -26,8 +26,9 @@ drops a member that an earlier level strictly dominates: its ``b`` is above
 the group's lowest earlier ``b`` (keyed, checked before the sort), or an
 earlier survivor dominates it without being dominated back (pairwise).
 Ties across levels survive.  A theory whose groups encode the level
-(knapsack, ``IdentityDominance``) is unaffected; for spsp a node's cheapest earlier path prunes every costlier
-path that reaches it later, as Dijkstra's labels do.
+(knapsack, ``IdentityDominance``) is unaffected; for spsp a node's cheapest
+earlier path prunes every costlier path that reaches it later, as
+Dijkstra's labels do.
 
 When a theory declares ``strictly_ranked``, every level keeps exactly one
 child, the cheapest (the theory's ranking breaking ties), so the pipeline
@@ -71,7 +72,9 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    #: The number of rows in ``per_level_width``.
     levels: int
+    #: The sum of the rows' raw widths.
     generated: int
     duplicates_removed: int
     equivalence_merged: int
@@ -290,44 +293,39 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
     """
     config = config or EngineConfig()
 
-    generated = duplicates = merged = pruned = 0
-    rows: list[tuple[int, int]] = []
-    level = 0
+    duplicates = merged = pruned = 0
 
     if theory.strictly_ranked:
         counts, last = theory.greedy_walk()
         rows = [(n_moves, min(n_moves, 1)) for n_moves in counts]
-        level, generated = len(rows), sum(counts)
-        pruned = generated - sum(survived for _, survived in rows)
+        pruned = sum(raw - undom for raw, undom in rows)
         found = collect_locals(theory, [last])
 
     else:
         depth = theory.max_depth()
         history: dict = {}
+        rows = []
         frontier = [theory.initial()]
         found = collect_locals(theory, frontier)
-        while frontier and level < depth:
-            level += 1
+        while frontier and len(rows) < depth:
             children = expand(theory, frontier)
-            raw = len(children)
-            generated += raw
             reps, n_merged, n_dup = reduce_equivalent(theory, children)
             merged += n_merged
             duplicates += n_dup
             survivors, n_pruned = filter_dominated(theory, reps, history)
             pruned += n_pruned
+            rows.append((len(children), len(survivors)))
 
             if config.mode is Mode.GREEDY and len(survivors) > 1:
-                raise GreedyViolation(level, len(survivors))
+                raise GreedyViolation(len(rows), len(survivors))
 
-            rows.append((raw, len(survivors)))
             frontier = survivors
             found.extend(collect_locals(theory, frontier))
 
     best_cost, best = opt_c(found, theory.direction)
     stats = SearchStats(
-        levels=level,
-        generated=generated,
+        levels=len(rows),
+        generated=sum(raw for raw, _ in rows),
         duplicates_removed=duplicates,
         equivalence_merged=merged,
         dominated_pruned=pruned,

@@ -80,7 +80,10 @@ def assert_key_matches_dominates(theory, y, other):
 
 
 def assert_stats_ledger(stats) -> None:
+    """The accounting identity holds, and the totals are read off the rows."""
     assert stats.accounting_identity_holds(), stats
+    assert stats.levels == len(stats.per_level_width), stats
+    assert stats.generated == sum(raw for raw, _ in stats.per_level_width), stats
 
 
 @pytest.fixture

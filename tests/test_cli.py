@@ -282,29 +282,35 @@ def test_compare_disagreement_exits_one(tmp_path, capsys, monkeypatch):
     assert "agree: NO" in out
 
 
-def test_parse_failure_exit_code(tmp_path, capsys):
+RUN_COMMANDS = ("solve", "compare", "stats")
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_parse_failure_exit_code(tmp_path, capsys, command):
     path = write(tmp_path, "bad.graph", "2 1\n0 0 5\n")
-    code, _, err = run_main(
-        capsys, ["solve", "--problem", "sssp", "--input", path]
+    code, out, err = run_main(
+        capsys, [command, "--problem", "sssp", "--input", path]
     )
-    assert code == 2 and "error" in err
+    assert code == 2 and "error" in err and out == ""
 
 
-def test_missing_target_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_missing_target_exit_code(tmp_path, capsys, command):
     path = write(tmp_path, "tri.graph", TRIANGLE_TEXT)
-    code, _, err = run_main(capsys, ["solve", "--problem", "spsp", "--input", path])
-    assert code == 2
+    code, out, err = run_main(capsys, [command, "--problem", "spsp", "--input", path])
+    assert code == 2 and "--target" in err and out == ""
 
 
-def test_greedy_violation_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_greedy_violation_exit_code(tmp_path, capsys, command):
     # Two equally cheap routes make spsp non-greedy.
     path = write(tmp_path, "d.graph", "4 4\n0 1 1\n0 2 1\n1 3 1\n2 3 1\n")
-    code, _, err = run_main(
+    code, out, err = run_main(
         capsys,
-        ["solve", "--problem", "spsp", "--input", path, "--target", "3",
+        [command, "--problem", "spsp", "--input", path, "--target", "3",
          "--mode", "greedy"],
     )
-    assert code == 3 and "greedy violation" in err
+    assert code == 3 and "greedy violation" in err and out == ""
 
 
 def test_exhaustive_mode_recovers_from_greedy_violation(tmp_path, capsys):
