@@ -29,10 +29,25 @@ cycles cut, is a simple path that costs strictly less than P.  So y is a
 prefix of no optimal path, and the optima stay the same.  A tie is kept: the
 cut path then merely ties P, so y may still be the prefix of an optimum, and
 dropping it would drop that optimum from the result.
+
+The move generator also prunes by bound, as A* does with a consistent
+heuristic (Hart, Nilsson and Raphael 1968), but to filter moves, never to
+order them.  The incumbent is the cost of the cheapest fewest-edge path: one
+breadth-first search from the source, O(n + m), a feasible solution the
+theory holds before the search starts.  A lower bound h on the rest of the
+way is 0 at the target and, at any other node, the lightest edge at the
+target, which every route there ends with.  A move is kept only when the
+child's cost plus h at its end reaches no higher than the incumbent; ties
+are kept, so every prefix of every optimum survives.  h is consistent, so
+along a path the bound never falls, and a cheaper path to the same node has
+a bound no worse; equal costs at one node have equal bounds.  So each level
+keeps exactly the unbounded search's survivors that the bound admits, and
+the optima stay the same.  With no route to the target no move is kept.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
@@ -76,12 +91,46 @@ class SinglePairShortestPath(ProblemTheory):
             nodes.add(b)
         return nodes
 
+    @cached_property
+    def incumbent(self) -> Optional[int]:
+        """Cost of the cheapest fewest-edge path, ``None`` if there is none:
+        each node, in breadth-first order, costs its cheapest way in from
+        the layer before."""
+        depth, cost = [-1] * self.graph.n, [0] * self.graph.n
+        depth[self.source] = 0
+        order = [self.source]
+        for u in order:
+            du, cu = depth[u] + 1, cost[u]
+            for _, v, w in self._adj[u]:
+                if depth[v] < 0:
+                    depth[v], cost[v] = du, cu + w
+                    order.append(v)
+                elif depth[v] == du and cu + w < cost[v]:
+                    cost[v] = cu + w
+        return cost[self.target] if depth[self.target] >= 0 else None
+
+    @cached_property
+    def _limits(self) -> list[int]:
+        """Per node, the highest cost a path ending there may have: the
+        incumbent less h, or -1, admitting nothing, with no incumbent."""
+        if self.incumbent is None:
+            return [-1] * self.graph.n
+        rest = min((w for _, _, w in self._adj[self.target]), default=0)
+        limits = [self.incumbent - rest] * self.graph.n
+        limits[self.target] = self.incumbent
+        return limits
+
     def child_moves(self, y: PathDescriptor) -> list[tuple[int, int]]:
-        # Only edges hanging off the end node that reach an unvisited node;
-        # anything else could never become a feasible path.  ``adjacency``
-        # lists them in increasing edge index, the canonical child order.
-        visited = self._nodes(y)
-        return [(w, ei) for ei, other, w in self._adj[y.end] if other not in visited]
+        # Only edges hanging off the end node that reach an unvisited node
+        # within its limit; anything else could never become a feasible path
+        # as cheap as the incumbent.  ``adjacency`` lists them in increasing
+        # edge index, the canonical child order.
+        visited, limits, cost = self._nodes(y), self._limits, y.cost
+        return [
+            (w, ei)
+            for ei, other, w in self._adj[y.end]
+            if cost + w <= limits[other] and other not in visited
+        ]
 
     def apply_move(self, y: PathDescriptor, move: int) -> PathDescriptor:
         serial, end, cost = y
@@ -92,11 +141,11 @@ class SinglePairShortestPath(ProblemTheory):
         # ``apply_move`` over ``child_moves``, with the visited set derived
         # once per parent and the end node's incidence list read once.
         serial, end, cost = y
-        visited = self._nodes(y)
+        visited, limits = self._nodes(y), self._limits
         return [
             tuple.__new__(PathDescriptor, (serial + (ei,), other, cost + w))
             for ei, other, w in self._adj[end]
-            if other not in visited
+            if cost + w <= limits[other] and other not in visited
         ]
 
     def extract(self, y: PathDescriptor) -> Optional[tuple[int, ...]]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import strategies as st
 
-from frontier_search.problems import Graph, Knapsack
+from frontier_search.problems import Graph, Knapsack, SinglePairShortestPath
 from frontier_search.theory import ProblemTheory
 
 
@@ -28,6 +29,32 @@ class FullKnapsack(Knapsack):
 
     # Knapsack's batched ``split`` tests the bound; the default does not.
     split = ProblemTheory.split
+
+
+class FullPath(SinglePairShortestPath):
+    """Single-pair shortest path without its bound: every edge from the end
+    node to a node the path has not visited.
+
+    The reference the bounded ``SinglePairShortestPath`` is tested against,
+    and the vehicle for tests of dominance on paths the bound would cut.
+    """
+
+    def child_moves(self, y):
+        visited = self._nodes(y)
+        return [(w, ei) for ei, other, w in self._adj[y.end] if other not in visited]
+
+    # The batched ``split`` tests the bound; the default does not.
+    split = ProblemTheory.split
+
+
+@st.composite
+def multigraphs(draw):
+    """Small graphs crowded with parallel and zero-weight edges."""
+    n = draw(st.integers(2, 5))
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node, st.sampled_from((0, 0, 0, 1, 2, 5)))
+    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]), max_size=10))
+    return Graph(n, tuple(edges))
 
 
 def enumerate_levels(theory: ProblemTheory, max_level: int | None = None):

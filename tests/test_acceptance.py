@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import assert_stats_ledger
+from conftest import FullPath, assert_stats_ledger
 
 from frontier_search import EngineConfig, IdentityDominance, Mode, solve
 from frontier_search.cli import gen_graph, gen_knapsack, main, render_graph, render_knapsack
@@ -210,8 +210,9 @@ def test_criterion_7_frontier_width_instrumentation(desk_runs):
             n = theory.graph.n
             assert all(undom <= n for _, undom in result.stats.per_level_width)
         # Pruning is doing real work: without it some frontier must exceed n.
+        # Without the move bound too, which alone keeps this one narrow.
         g = gen_graph(6, 1.0, 5, seed=85_000)
-        raw = solve(IdentityDominance(SinglePairShortestPath(g, 0, 5)))
+        raw = solve(IdentityDominance(FullPath(g, 0, 5)))
         assert max(undom for _, undom in raw.stats.per_level_width) > g.n
 
 

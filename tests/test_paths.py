@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_stats_ledger
+from conftest import FullPath, assert_stats_ledger, multigraphs
 
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
 from frontier_search.cli import gen_graph
@@ -151,21 +151,13 @@ def test_greedy_mode_fails_on_wide_frontier(diamond):
 
 
 def test_greedy_mode_does_not_raise_when_the_frontier_empties():
-    # The parallel edge makes m = 3; the third level has no children.
+    # The parallel edge makes m = 3; the third level has no children.  The
+    # bound would cut the dearer parallel edge, so the unbounded reference
+    # keeps the first level two wide.
     g = Graph(3, ((0, 1, 1), (0, 1, 3), (1, 2, 1)))
-    result = solve(theory(g, 0, 2), EngineConfig(mode=Mode.GREEDY))
+    result = solve(FullPath(g, 0, 2), EngineConfig(mode=Mode.GREEDY))
     assert result.optimal_cost == 2 and result.optima == {(0, 2)}
     assert result.stats.per_level_width == ((2, 1), (1, 1), (0, 0))
-
-
-@st.composite
-def multigraphs(draw):
-    """Small graphs crowded with parallel and zero-weight edges."""
-    n = draw(st.integers(2, 5))
-    node = st.integers(0, n - 1)
-    edge = st.tuples(node, node, st.sampled_from((0, 0, 0, 1, 2, 5)))
-    edges = draw(st.lists(edge.filter(lambda e: e[0] != e[1]), max_size=10))
-    return Graph(n, tuple(edges))
 
 
 @given(multigraphs(), st.data())
@@ -198,8 +190,9 @@ def test_cross_level_ties_are_kept(keyed):
 def test_cross_level_strictly_costlier_path_is_pruned(keyed):
     # At level 2, (1, 2) reaches node 2 at cost 1, after the level-1 path
     # (0,) reached it at cost 0; (0, 2) reaches node 1 at cost 0, below the
-    # level-1 path (1,) at cost 1, and survives.
-    th = theory(Graph(3, ((0, 2, 0), (0, 1, 1), (1, 2, 0))))
+    # level-1 path (1,) at cost 1, and survives.  The bound would cut every
+    # path dearer than the direct edge, so the search runs unbounded.
+    th = FullPath(Graph(3, ((0, 2, 0), (0, 1, 1), (1, 2, 0))), 0, 2)
     if not keyed:
         th.equivalence_key = None  # force the generic pairwise path
     result = solve(th)
@@ -214,8 +207,10 @@ def test_cross_level_equal_cost_paths_merge_before_the_prune(keyed):
     # At level 2, (1, 2) and (3, 4) both reach node 2 at cost 2, above the
     # level-1 path (0,) at cost 0.  They merge into (1, 2), which is then
     # pruned: one merge and one prune, not two prunes.  (0, 2) and (0, 4)
-    # tie the level-1 costs of nodes 1 and 3 and survive.
-    th = theory(Graph(4, ((0, 2, 0), (0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 1))))
+    # tie the level-1 costs of nodes 1 and 3 and survive.  The bound would
+    # cut every path dearer than the direct edge, so the search runs unbounded.
+    g = Graph(4, ((0, 2, 0), (0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 1)))
+    th = FullPath(g, 0, 2)
     if not keyed:
         th.equivalence_key = None  # force the generic pairwise path
     result = solve(th)

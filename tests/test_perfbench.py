@@ -27,7 +27,11 @@ FINGERPRINTS = {
     # order.
     "knapsack-exhaustive": "9247f696c2bc3a47",
     "tree-greedy": "8981eebb5dadbb03",
-    "spsp-exhaustive": "18d9d2ac41bd5d2f",
+    # spsp keeps a move only when its cost plus a lower bound on the rest of
+    # the way reaches no higher than the cheapest fewest-edge path, so its
+    # searches generate fewer children.  Optimal costs and optima are
+    # unchanged; the counters and widths fall.
+    "spsp-exhaustive": "e81db14578296d00",
 }
 
 

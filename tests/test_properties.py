@@ -30,9 +30,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     FullKnapsack,
+    FullPath,
     assert_key_matches_dominates,
     assert_stats_ledger,
     enumerate_levels,
+    multigraphs,
     sibling_families,
 )
 
@@ -44,7 +46,7 @@ from frontier_search.engine import (
     opt_c,
     reduce_equivalent,
 )
-from frontier_search.oracles import brute_force, enumerate_extensions
+from frontier_search.oracles import brute_force, distances, enumerate_extensions
 from frontier_search.problems import (
     Graph,
     Knapsack,
@@ -294,7 +296,8 @@ def test_spsp_pairwise_unsoundness_is_harmless_in_level_search():
     # frontier search, which compares paths within a level and drops a path
     # strictly costlier than one that reached its end node at an earlier
     # level, is still exact, because whenever that happens an equally cheap
-    # route survives elsewhere in the tree.
+    # route survives elsewhere in the tree.  The move bound would cut the
+    # dear completion, so the unbounded reference runs here.
     g = Graph(
         6,
         (
@@ -307,7 +310,7 @@ def test_spsp_pairwise_unsoundness_is_harmless_in_level_search():
             (4, 5, 9),  # d-t
         ),
     )
-    th = SinglePairShortestPath(g, 0, 5)
+    th = FullPath(g, 0, 5)
     via_a = th.apply_move(th.apply_move(th.initial(), 0), 1)  # s-a-c, cost 0
     via_b = th.apply_move(th.apply_move(th.initial(), 2), 3)  # s-b-c, cost 2
     assert th.dominates(via_a, via_b)
@@ -413,7 +416,8 @@ def test_split_children_duplicate_free():
 
 
 def test_path_descriptor_caches_coherent():
-    for theory in path_theories(3):
+    # Unbounded, so that ``child_moves`` is every edge to an unvisited node.
+    for theory in [FullPath(g, 0, g.n - 1) for g in small_graphs(3)]:
         g = theory.graph
         for layer in enumerate_levels(theory):
             for y in layer:
@@ -482,7 +486,7 @@ def test_spsp_frontier_width_bounded_by_node_count():
 
 def test_spsp_width_exceeds_node_count_without_dominance():
     g = gen_graph(6, 1.0, 5, seed=11)  # complete graph on 6 nodes
-    th = SinglePairShortestPath(g, 0, 5)
+    th = FullPath(g, 0, 5)  # the move bound alone keeps this one narrow
     result = solve(IdentityDominance(th))
     assert max(undom for _, undom in result.stats.per_level_width) > g.n
 
@@ -657,3 +661,129 @@ def test_bounded_knapsack_equals_full_knapsack_on_property_pools():
             bounded_run, full_run = solve(a), solve(b)
             assert bounded_run.optima == full_run.optima
             assert bounded_run.optimal_cost == full_run.optimal_cost
+
+
+# -- spsp bound ----------------------------------------------------------------
+
+
+def simple_paths(g, start, target, seen):
+    """``(edges, cost)`` of every simple path from ``start`` to ``target``
+    that enters no node of ``seen``, walked over the raw edge list."""
+    if start == target:
+        return [(0, 0)]
+    found = []
+    for a, b, w in g.edges:
+        if start in (a, b) and (other := b if start == a else a) not in seen:
+            for k, c in simple_paths(g, other, target, seen | {other}):
+                found.append((k + 1, c + w))
+    return found
+
+
+def path_nodes(g, source, serial):
+    nodes = {source}
+    for ei in serial:
+        nodes.update(g.edges[ei][:2])
+    return nodes
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_spsp_bound_keeps_every_move_that_can_reach_the_incumbent(g, data):
+    # Completions are enumerated over the raw edges, not through the theory.
+    target = data.draw(st.integers(0, g.n - 1))
+    th, full = SinglePairShortestPath(g, 0, target), FullPath(g, 0, target)
+    paths = simple_paths(g, 0, target, {0})
+    # The incumbent is the cheapest of the paths with the fewest edges.
+    fewest = min((k for k, _ in paths), default=None)
+    assert th.incumbent == min((c for k, c in paths if k == fewest), default=None)
+    for layer in enumerate_levels(full):
+        for y in layer:
+            kept = th.child_moves(y)
+            assert th.split(y) == [th.apply_move(y, m) for _, m in kept]
+            every = full.child_moves(y)
+            assert kept == [m for m in every if m in kept]
+            for inc, move in every:
+                child = full.apply_move(y, move)
+                seen = path_nodes(g, 0, child.serial)
+                rest = simple_paths(g, child.end, target, seen)
+                if rest and child.cost + min(c for _, c in rest) <= th.incumbent:
+                    assert (inc, move) in kept, (y, move)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_spsp_solve_equals_full_path_solve(g, data):
+    target = data.draw(st.integers(0, g.n - 1))
+    th, full = SinglePairShortestPath(g, 0, target), FullPath(g, 0, target)
+    dijkstra = distances(g, 0).get(target)
+    for a, b in ((th, full), (IdentityDominance(th), IdentityDominance(full))):
+        bounded_run, full_run = solve(a), solve(b)
+        assert bounded_run.optima == full_run.optima
+        assert bounded_run.optimal_cost == full_run.optimal_cost == dijkstra
+        assert bounded_run.stats.generated <= full_run.stats.generated
+        assert_stats_ledger(bounded_run.stats)
+
+
+#: Node 3 is isolated.
+UNREACHABLE = Graph(4, ((0, 1, 1), (1, 2, 0)))
+#: Node 3 has only zero-weight edges; the direct edge 4 costs 0.
+ZERO_AT_TARGET = Graph(4, ((0, 1, 0), (1, 3, 0), (0, 2, 1), (2, 3, 0), (0, 3, 0)))
+
+
+def spsp_bound_pool():
+    """The spsp property pools, the source as target, and the edge cases."""
+    graphs = small_graphs(12) + parallel_edge_graphs()
+    pool = [SinglePairShortestPath(g, 0, g.n - 1) for g in graphs]
+    pool += [SinglePairShortestPath(g, 0, 0) for g in graphs[:4]]
+    pool += preorder_pools()["spsp"]
+    pool += [SinglePairShortestPath(g, 0, 3) for g in (UNREACHABLE, ZERO_AT_TARGET)]
+    return pool
+
+
+def test_spsp_bound_edge_cases():
+    unreachable = SinglePairShortestPath(UNREACHABLE, 0, 3)
+    assert unreachable.incumbent is None
+    root = unreachable.initial()
+    assert unreachable.child_moves(root) == unreachable.split(root) == []
+    assert solve(unreachable).stats.per_level_width == ((0, 0),)
+    at_source = SinglePairShortestPath(ZERO_AT_TARGET, 3, 3)
+    assert at_source.incumbent == 0 and solve(at_source).optima == {()}
+    # The lightest edge at the target weighs 0, so every node's limit is the
+    # incumbent, and a path that ties it is kept.
+    zero = SinglePairShortestPath(ZERO_AT_TARGET, 0, 3)
+    assert zero.incumbent == 0
+    assert solve(zero).optima == solve(FullPath(ZERO_AT_TARGET, 0, 3)).optima
+    assert solve(zero).optima == {(4,), (0, 1)}
+
+
+def test_bounded_spsp_levels_are_the_full_levels_the_bound_admits():
+    # Each level's survivors are the unbounded search's survivors whose cost
+    # is within their end node's limit, in the same order, keyed and pairwise.
+    for base in spsp_bound_pool():
+        g, source, target = base.graph, base.source, base.target
+        for keyed in (True, False):
+            th, full = SinglePairShortestPath(g, source, target), FullPath(g, source, target)
+            if not keyed:
+                th.equivalence_key = full.equivalence_key = None
+            frontier, full_frontier = [th.initial()], [full.initial()]
+            history, full_history = {}, {}
+            while full_frontier:
+                frontier = filter_dominated(
+                    th, reduce_equivalent(th, expand(th, frontier))[0], history
+                )[0]
+                full_frontier = filter_dominated(
+                    full, reduce_equivalent(full, expand(full, full_frontier))[0], full_history
+                )[0]
+                limits = th._limits
+                assert frontier == [y for y in full_frontier if y.cost <= limits[y.end]]
+
+
+def test_bounded_spsp_equals_full_path_on_property_pools():
+    for th in spsp_bound_pool():
+        full = FullPath(th.graph, th.source, th.target)
+        dijkstra = distances(th.graph, th.source).get(th.target)
+        for a, b in ((th, full), (IdentityDominance(th), IdentityDominance(full))):
+            bounded_run, full_run = solve(a), solve(b)
+            assert bounded_run.optima == full_run.optima
+            assert bounded_run.optimal_cost == full_run.optimal_cost == dijkstra
+            assert bounded_run.stats.generated <= full_run.stats.generated
