@@ -287,7 +287,7 @@ def run_solve(args, with_oracle: bool) -> RunReport:
     instance = _load_instance(args)
     theory = build_theory(args.problem, instance, args.source, args.target)
     start = time.perf_counter()
-    result = solve(theory, EngineConfig(mode=Mode(args.mode)))
+    result = solve(theory, EngineConfig(mode=args.mode))
     ms = (time.perf_counter() - start) * 1000
     oracle_cost = _oracle_cost(args.problem, theory, instance) if with_oracle else None
     return RunReport(

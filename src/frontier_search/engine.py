@@ -67,7 +67,12 @@ class GreedyViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
+    #: A ``Mode`` or its value; ``"greedy"`` becomes ``Mode.GREEDY``, and
+    #: anything else raises ``ValueError``.
     mode: Mode = Mode.EXHAUSTIVE
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", Mode(self.mode))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Nothing here shares code with the engine pipeline: the exhaustive searcher
 expands the raw split tree with duplicate removal only (no dominance),
-through ``child_moves`` and ``apply_move`` rather than a theory's own
-``split`` override, which it thereby checks end to end; and the classical
-references are textbook algorithms over the plain instance types.  The
-exhaustive searcher and the completion enumerator have expansion caps, and
-the knapsack DP a table cap, so oversized inputs fail loudly with
-``CapExceeded`` instead of hanging.  The CLI checks every problem against a
-classical reference only.
+through ``apply_move`` over ``child_moves`` (the default ``split``); and the
+classical references are textbook algorithms over the plain instance types.
+Knapsack and spsp read ``child_moves`` off their own ``split``, so for them
+the searcher checks ``apply_move`` against what ``split`` builds, and their
+move bound is checked against the classical references and the unbounded
+test theories.  The exhaustive searcher and the completion enumerator have
+expansion caps, and the knapsack DP a table cap, so oversized inputs fail
+loudly with ``CapExceeded`` instead of hanging.  The CLI checks every
+problem against a classical reference only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def brute_force(
     No dominance pruning; the theory's own move bound applies.  Children
     are ``apply_move`` over ``child_moves`` (the default ``split``), and
     only exact duplicates (canonically equal descriptors) are removed, so
-    this visits every space the moves reach once.  Its feasible extractions
+    this visits every space the moves reach once.  Where ``child_moves`` is
+    read off the theory's own ``split`` (knapsack, spsp), this checks
+    ``apply_move`` against what ``split`` builds.  Its feasible extractions
     are the feasible solutions within ``theory.max_depth()`` that the moves
     reach, every optimum among them.
     """

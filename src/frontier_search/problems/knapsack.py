@@ -10,9 +10,10 @@ dominates, which is exactly the default semi-congruence-plus-cost rule
 under maximization.  The undominated frontier is the strict Pareto front
 over (weight, utility), at most one entry per distinct reachable weight, so
 at most ``capacity + 1`` survivors per level.  ``split`` builds both
-children of a prefix in one call.
+children of a prefix in one call and is the one statement of the moves:
+``child_moves`` reads them off its children.
 
-The move generator also prunes by bound (Dantzig 1957; Martello and Toth
+``split`` also prunes by bound (Dantzig 1957; Martello and Toth
 1990, ch. 2).  The incumbent is the greedy fill in ratio order, a feasible
 solution the theory holds before the search starts.  A move is kept only
 when the child's utility plus the floored Dantzig bound (the fractional
@@ -130,18 +131,8 @@ class Knapsack(ProblemTheory):
         return False
 
     def child_moves(self, y: KnapsackDescriptor) -> list[tuple[int, int]]:
-        # Out before in, each kept only if its child can reach the incumbent.
-        k = len(y.serial)
-        if k == self.n:
-            return []
-        w, u = self.decided[k]
-        room = self.capacity - y.weight
-        moves = []
-        if self._reaches(k + 1, room, y.utility):
-            moves.append((0, 0))
-        if w <= room and self._reaches(k + 1, room - w, y.utility + u):
-            moves.append((u, 1))
-        return moves
+        # The moves ``split`` keeps, read off its children.
+        return [(c.utility - y.utility, c.serial[-1]) for c in self.split(y)]
 
     def apply_move(self, y: KnapsackDescriptor, move: int) -> KnapsackDescriptor:
         serial, weight, utility = y
@@ -151,9 +142,7 @@ class Knapsack(ProblemTheory):
         return KnapsackDescriptor(serial + (0,), weight, utility)
 
     def split(self, y: KnapsackDescriptor) -> list[KnapsackDescriptor]:
-        # ``apply_move`` over ``child_moves``, with the parent unpacked once.
-        # It tests the bound itself rather than calling ``child_moves``, so a
-        # subclass that reorders ``child_moves`` does not reorder this too.
+        # Out before in, each kept only if its child can reach the incumbent.
         serial, weight, utility = y
         k = len(serial)
         if k == self.n:

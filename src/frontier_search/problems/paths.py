@@ -4,15 +4,15 @@ A partial solution is a simple path growing edge by edge from the source
 node.  Its descriptor, an immutable tuple, stores the path once, as its
 edges in walk order plus its end node and weight; the node set is derived
 from the edges where it is needed, and ``split`` derives it once for all of
-a path's children.  A solution is extractable
-as soon as the path's end node is the target.  Paths ending at the same
-node are compared by accumulated weight: the cheaper one
-dominates, which keeps at most one survivor per end node, so the frontier
-is never wider than the node count ``n``.  The relation deliberately
-ignores which interior nodes the paths visited, and how many edges they
-have.  That is stronger than what same-extension transfer justifies, so
-``semi_congruent`` additionally demands that the dominating path's node set
-is contained in the other's.
+a path's children.  ``split`` is the one statement of a path's moves:
+``child_moves`` reads them off its children.  A solution is extractable as
+soon as the path's end node is the target.  Paths ending at the same node
+are compared by accumulated weight: the cheaper one dominates, which keeps
+at most one survivor per end node, so the frontier is never wider than the
+node count ``n``.  The relation deliberately ignores which interior nodes
+the paths visited, and how many edges they have.  That is stronger than what
+same-extension transfer justifies, so ``semi_congruent`` additionally
+demands that the dominating path's node set is contained in the other's.
 
 The stronger relation is still sound, given non-negative weights.  Take an
 optimal path P* with the fewest edges, and a same-level path y that ends at
@@ -30,7 +30,7 @@ prefix of no optimal path, and the optima stay the same.  A tie is kept: the
 cut path then merely ties P, so y may still be the prefix of an optimum, and
 dropping it would drop that optimum from the result.
 
-The move generator also prunes by bound, as A* does with a consistent
+``split`` also prunes by bound, as A* does with a consistent
 heuristic (Hart, Nilsson and Raphael 1968), but to filter moves, never to
 order them.  The incumbent is the cost of the cheapest fewest-edge path: one
 breadth-first search from the source, O(n + m), a feasible solution the
@@ -121,16 +121,8 @@ class SinglePairShortestPath(ProblemTheory):
         return limits
 
     def child_moves(self, y: PathDescriptor) -> list[tuple[int, int]]:
-        # Only edges hanging off the end node that reach an unvisited node
-        # within its limit; anything else could never become a feasible path
-        # as cheap as the incumbent.  ``adjacency`` lists them in increasing
-        # edge index, the canonical child order.
-        visited, limits, cost = self._nodes(y), self._limits, y.cost
-        return [
-            (w, ei)
-            for ei, other, w in self._adj[y.end]
-            if cost + w <= limits[other] and other not in visited
-        ]
+        # The moves ``split`` keeps, read off its children.
+        return [(c.cost - y.cost, c.serial[-1]) for c in self.split(y)]
 
     def apply_move(self, y: PathDescriptor, move: int) -> PathDescriptor:
         serial, end, cost = y
@@ -138,8 +130,11 @@ class SinglePairShortestPath(ProblemTheory):
         return PathDescriptor(serial + (move,), b if end == a else a, cost + w)
 
     def split(self, y: PathDescriptor) -> list[PathDescriptor]:
-        # ``apply_move`` over ``child_moves``, with the visited set derived
-        # once per parent and the end node's incidence list read once.
+        # Only edges hanging off the end node that reach an unvisited node
+        # within its limit; anything else could never become a feasible path
+        # as cheap as the incumbent.  ``adjacency`` lists them in increasing
+        # edge index, the canonical child order.  The visited set is derived
+        # once per parent.
         serial, end, cost = y
         visited, limits = self._nodes(y), self._limits
         return [

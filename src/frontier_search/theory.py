@@ -124,9 +124,12 @@ class ProblemTheory(ABC):
         override it to build all children in one call, deriving what the
         parent's children share once; the result must equal the default's
         list: the same children in the same order, each of the same type
-        with the same field values.  ``apply_move`` and ``child_moves`` stay
-        the primitives that replay and the default ``greedy_walk`` use, so a
-        subclass that reorders ``child_moves`` must override ``split`` too.
+        with the same field values.  Such a theory may then read
+        ``child_moves`` off ``split`` (each child's increment and last
+        move), so its moves and any bound on them are stated once, as
+        knapsack and spsp do.  A subclass of it that sets ``split`` back to
+        this default must state its own ``child_moves``, or each of the two
+        calls the other without end.
         """
         return [self.apply_move(y, move) for _, move in self.child_moves(y)]
 
@@ -239,7 +242,8 @@ def IdentityDominance(base: ProblemTheory) -> ProblemTheory:
     true for equal serials only and an ``equivalence_key`` that puts each
     serial in a group of its own.  Every other hook and attribute, ``split``
     and instance-level overrides included, is the base's own, so a base
-    theory's move bound (see ``child_moves``) still applies.
+    theory's move bound (knapsack's and spsp's, stated in their ``split``)
+    still applies.
 
     Used to measure how much work dominance pruning does: the engine
     degenerates to plain duplicate-free breadth-first enumeration of the

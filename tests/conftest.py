@@ -27,7 +27,9 @@ class FullKnapsack(Knapsack):
             return [(0, 0), (u, 1)]
         return [(0, 0)]
 
-    # Knapsack's batched ``split`` tests the bound; the default does not.
+    # ``Knapsack`` states its bound in ``split`` and reads ``child_moves``
+    # off it, so this class needs both: with the default ``split`` and the
+    # inherited ``child_moves``, each would call the other without end.
     split = ProblemTheory.split
 
 
@@ -43,7 +45,8 @@ class FullPath(SinglePairShortestPath):
         visited = self._nodes(y)
         return [(w, ei) for ei, other, w in self._adj[y.end] if other not in visited]
 
-    # The batched ``split`` tests the bound; the default does not.
+    # As in ``FullKnapsack``: the bound is stated in ``split``, which
+    # the inherited ``child_moves`` reads, so both are replaced.
     split = ProblemTheory.split
 
 

@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from conftest import FullKnapsack, assert_stats_ledger, bounded
+from conftest import FullKnapsack, FullPath, assert_stats_ledger, bounded
 
 from frontier_search import (
     EngineConfig,
@@ -108,10 +108,8 @@ def test_dedupe_merges_tree_reached_by_both_orders(weighted_triangle):
 
 
 class InFirstKnapsack(Knapsack):
-    """Knapsack listing the in-move before the out-move."""
-
-    def child_moves(self, y):
-        return super().child_moves(y)[::-1]
+    """Knapsack listing the in-move before the out-move; ``child_moves`` is
+    read off ``split``, so it follows."""
 
     def split(self, y):
         return super().split(y)[::-1]
@@ -196,15 +194,34 @@ def test_reduce_counts_a_repeated_serial_as_a_duplicate(weighted_triangle, diamo
     reps, merged, duplicates = reduce_equivalent(th, [via_01, via_02, via_10, via_01])
     assert list(reps.values()) == [via_01, via_02]
     assert merged == 0 and duplicates == 2
-    # One run of equal keys holding a repeated serial and another serial:
-    # one duplicate and one merge, as on the pairwise path.
+    # One run of equal keys holding another serial and a second copy of the
+    # representative or of the merged member: one merge and one duplicate,
+    # as on the pairwise path.
     th = SinglePairShortestPath(diamond, 0, 3)
-    left, right = (th.apply_move(th.apply_move(th.initial(), a), b) for a, b in ((0, 2), (1, 3)))
-    left_again = th.apply_move(th.apply_move(th.initial(), 0), 2)
-    reps, merged, duplicates = reduce_equivalent(th, [left, right, left_again])
-    assert list(reps.values()) == [left] and merged == 1 and duplicates == 1
+    pairwise = copy.copy(th)
+    pairwise.equivalence_key = None  # force the generic pairwise path
+    left, right, left_again, right_again = (
+        th.apply_move(th.apply_move(th.initial(), a), b)
+        for a, b in ((0, 2), (1, 3), (0, 2), (1, 3)))
+    for level in ([left, right, left_again], [left, right, right_again]):
+        reps, merged, duplicates = reduce_equivalent(th, level)
+        assert (list(reps.values()), merged, duplicates) == ([left], 1, 1)
+        assert reduce_equivalent(pairwise, level) == ([left], 1, 1)
+
+
+def test_reduce_level_with_two_tied_runs():
+    # Two diamonds from node 0: level 2 reaches nodes 3 and 4 by two equal
+    # paths each, and a copy of a merged path in each run is a duplicate.
+    g = Graph(5, ((0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (1, 4, 1), (2, 4, 1)))
+    th = FullPath(g, 0, 4)
+    children = expand(th, th.split(th.initial()))
+    assert [(y.serial, y.end) for y in children] == [
+        ((0, 2), 3), ((0, 4), 4), ((1, 3), 3), ((1, 5), 4)]
+    children += [copy.copy(children[2]), copy.copy(children[3])]
+    reps, merged, duplicates = reduce_equivalent(th, children)
+    assert (list(reps.values()), merged, duplicates) == (children[:2], 2, 2)
     th.equivalence_key = None  # force the generic pairwise path
-    assert reduce_equivalent(th, [left, right, left_again]) == ([left], 1, 1)
+    assert reduce_equivalent(th, children) == (children[:2], 2, 2)
 
 
 def test_filter_keeps_cheapest_path_per_end_node():
@@ -341,6 +358,22 @@ def test_canonical_tiebreak_avoids_violation():
     # The shipped theory breaks weight ties by edge index, so greedy holds.
     result = solve(PrimSpanningTree(equal_min_star(), 0), EngineConfig(mode=Mode.GREEDY))
     assert result.optimal_cost == 2
+
+
+def test_mode_given_by_value_is_the_mode():
+    # A valid string equals its enum, so ``"greedy"`` searches greedily.
+    config = EngineConfig(mode="greedy")
+    assert config == EngineConfig(mode=Mode.GREEDY) and config.mode is Mode.GREEDY
+    with pytest.raises(GreedyViolation) as exc:
+        solve(StrictCostPrim(equal_min_star(), 0), config)
+    assert exc.value.width == 2 and exc.value.level == 1
+    assert EngineConfig(mode="exhaustive").mode is Mode.EXHAUSTIVE
+
+
+@pytest.mark.parametrize("mode", ["fast", "GREEDY", None, 1])
+def test_mode_rejects_other_values(mode):
+    with pytest.raises(ValueError):
+        EngineConfig(mode=mode)
 
 
 # -- solve -------------------------------------------------------------------

@@ -394,6 +394,8 @@ def parallel_edge_graphs(count=4, seed=700):
 def test_split_equals_default_split():
     # An overriding ``split`` must build exactly what ``apply_move`` over
     # ``child_moves`` builds: same order, same type, same field values.
+    # Knapsack and spsp read ``child_moves`` off their ``split``, so for them
+    # this holds ``apply_move`` to the children ``split`` builds.
     theories = [th for pool in preorder_pools().values() for th in pool]
     theories += [SinglePairShortestPath(g, 0, g.n - 1) for g in parallel_edge_graphs()]
     for theory in theories + [IdentityDominance(th) for th in theories]:
