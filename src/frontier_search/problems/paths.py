@@ -43,6 +43,23 @@ along a path the bound never falls, and a cheaper path to the same node has
 a bound no worse; equal costs at one node have equal bounds.  So each level
 keeps exactly the unbounded search's survivors that the bound admits, and
 the optima stay the same.  With no route to the target no move is kept.
+
+The same search prices every node: its price is the cost of its cheapest
+fewest-edge path, -1 if the source does not reach it.  A node's limit is
+also at most its price (the target's is the incumbent, its own price), so a
+child that costs more than its end node's price is never built.  That child
+is one dominance would prune right after building it.  By induction along
+the breadth-first parents, at level depth(v) the frontier holds a path to v
+costing exactly price(v): its nodes all lie nearer the source than v, so it
+extends to v, nothing reaches v at an earlier level, and since h is
+consistent the bound admits every step of that chain whenever it admits a
+costlier child at v.  So each costlier child at v is pruned, within the
+level at depth(v) and across levels after it.  The cut drops only such
+children, so every level keeps the same survivors, and the levels, the
+locals and the optima stay the same; only the children built, pruned and
+merged fall.  Under ``IdentityDominance``, which prunes nothing, the cut is
+sound by the cross-level argument above with the breadth-first path as y':
+a child costlier than its end node's price is the prefix of no optimum.
 """
 
 from __future__ import annotations
@@ -92,12 +109,12 @@ class SinglePairShortestPath(ProblemTheory):
         return nodes
 
     @cached_property
-    def incumbent(self) -> Optional[int]:
-        """Cost of the cheapest fewest-edge path, ``None`` if there is none:
-        each node, in breadth-first order, costs its cheapest way in from
-        the layer before."""
-        depth, cost = [-1] * self.graph.n, [0] * self.graph.n
-        depth[self.source] = 0
+    def _prices(self) -> list[int]:
+        """Per node, the cost of its cheapest fewest-edge path, -1 if the
+        node is unreached: each node, in breadth-first order, costs its
+        cheapest way in from the layer before."""
+        depth, cost = [-1] * self.graph.n, [-1] * self.graph.n
+        depth[self.source], cost[self.source] = 0, 0
         order = [self.source]
         for u in order:
             du, cu = depth[u] + 1, cost[u]
@@ -107,16 +124,23 @@ class SinglePairShortestPath(ProblemTheory):
                     order.append(v)
                 elif depth[v] == du and cu + w < cost[v]:
                     cost[v] = cu + w
-        return cost[self.target] if depth[self.target] >= 0 else None
+        return cost
+
+    @cached_property
+    def incumbent(self) -> Optional[int]:
+        """Cost of the cheapest fewest-edge path, ``None`` if there is none."""
+        price = self._prices[self.target]
+        return price if price >= 0 else None
 
     @cached_property
     def _limits(self) -> list[int]:
         """Per node, the highest cost a path ending there may have: the
-        incumbent less h, or -1, admitting nothing, with no incumbent."""
+        incumbent less h, and no more than the node's price; -1, admitting
+        nothing, with no incumbent."""
         if self.incumbent is None:
             return [-1] * self.graph.n
         rest = min((w for _, _, w in self._adj[self.target]), default=0)
-        limits = [self.incumbent - rest] * self.graph.n
+        limits = [min(self.incumbent - rest, p) for p in self._prices]
         limits[self.target] = self.incumbent
         return limits
 
@@ -132,7 +156,8 @@ class SinglePairShortestPath(ProblemTheory):
     def split(self, y: PathDescriptor) -> list[PathDescriptor]:
         # Only edges hanging off the end node that reach an unvisited node
         # within its limit; anything else could never become a feasible path
-        # as cheap as the incumbent.  ``adjacency`` lists them in increasing
+        # as cheap as the incumbent, or costs more than the path dominance
+        # keeps at that node.  ``adjacency`` lists them in increasing
         # edge index, the canonical child order.  The visited set is derived
         # once per parent.
         serial, end, cost = y

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 
 import pytest
 from hypothesis import strategies as st
@@ -48,6 +49,24 @@ class FullPath(SinglePairShortestPath):
     # As in ``FullKnapsack``: the bound is stated in ``split``, which
     # the inherited ``child_moves`` reads, so both are replaced.
     split = ProblemTheory.split
+
+
+class IncumbentPath(SinglePairShortestPath):
+    """Single-pair shortest path bounded by the incumbent alone: no node's
+    limit is cut to its price.
+
+    The reference the price cut is tested against, in the way ``FullPath``
+    stands for the unbounded search.
+    """
+
+    @cached_property
+    def _limits(self):
+        if self.incumbent is None:
+            return [-1] * self.graph.n
+        rest = min((w for _, _, w in self._adj[self.target]), default=0)
+        limits = [self.incumbent - rest] * self.graph.n
+        limits[self.target] = self.incumbent
+        return limits
 
 
 @st.composite

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from conftest import (
     FullKnapsack,
     FullPath,
+    IncumbentPath,
     assert_key_matches_dominates,
     assert_stats_ledger,
     enumerate_levels,
@@ -688,16 +689,25 @@ def path_nodes(g, source, serial):
     return nodes
 
 
+def fewest_edge_cost(paths):
+    """The cheapest of the ``(edges, cost)`` paths with the fewest edges,
+    ``None`` if there are none."""
+    fewest = min((k for k, _ in paths), default=None)
+    return min((c for k, c in paths if k == fewest), default=None)
+
+
 @given(multigraphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_spsp_bound_keeps_every_move_that_can_reach_the_incumbent(g, data):
-    # Completions are enumerated over the raw edges, not through the theory.
+    # Completions and prices are enumerated over the raw edges, not through
+    # the theory.
     target = data.draw(st.integers(0, g.n - 1))
     th, full = SinglePairShortestPath(g, 0, target), FullPath(g, 0, target)
-    paths = simple_paths(g, 0, target, {0})
-    # The incumbent is the cheapest of the paths with the fewest edges.
-    fewest = min((k for k, _ in paths), default=None)
-    assert th.incumbent == min((c for k, c in paths if k == fewest), default=None)
+    # A node's price is the cheapest of its paths with the fewest edges, and
+    # the incumbent is the target's.
+    prices = [fewest_edge_cost(simple_paths(g, 0, v, {0})) for v in range(g.n)]
+    assert th._prices == [-1 if p is None else p for p in prices]
+    assert th.incumbent == prices[target]
     for layer in enumerate_levels(full):
         for y in layer:
             kept = th.child_moves(y)
@@ -708,8 +718,14 @@ def test_spsp_bound_keeps_every_move_that_can_reach_the_incumbent(g, data):
                 child = full.apply_move(y, move)
                 seen = path_nodes(g, 0, child.serial)
                 rest = simple_paths(g, child.end, target, seen)
-                if rest and child.cost + min(c for _, c in rest) <= th.incumbent:
+                if (
+                    rest
+                    and child.cost + min(c for _, c in rest) <= th.incumbent
+                    and child.cost <= prices[child.end]
+                ):
                     assert (inc, move) in kept, (y, move)
+                if (inc, move) in kept:
+                    assert child.cost <= prices[child.end], (y, move)
 
 
 @given(multigraphs(), st.data())
@@ -789,3 +805,39 @@ def test_bounded_spsp_equals_full_path_on_property_pools():
             assert bounded_run.optima == full_run.optima
             assert bounded_run.optimal_cost == full_run.optimal_cost == dijkstra
             assert bounded_run.stats.generated <= full_run.stats.generated
+
+
+# -- spsp price cut ------------------------------------------------------------
+
+
+def assert_price_cut_changes_no_survivor(g, source, target):
+    # Each level keeps the same survivors with and without the cut, so the
+    # optima, the level count, the locals and the undominated width column
+    # agree; the cut builds no more children.
+    for keyed in (True, False):
+        th, ref = SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)
+        if not keyed:
+            th.equivalence_key = ref.equivalence_key = None
+        cut, uncut = solve(th), solve(ref)
+        assert cut.optima == uncut.optima
+        assert cut.optimal_cost == uncut.optimal_cost
+        assert cut.stats.levels == uncut.stats.levels
+        assert cut.stats.locals_found == uncut.stats.locals_found
+        widths = [kept for _, kept in cut.stats.per_level_width]
+        assert widths == [kept for _, kept in uncut.stats.per_level_width]
+        assert cut.stats.generated <= uncut.stats.generated
+        assert_stats_ledger(cut.stats)
+    th, ref = SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)
+    assert solve(IdentityDominance(th)).optima == solve(IdentityDominance(ref)).optima
+
+
+def test_spsp_price_cut_changes_no_survivor_on_property_pools():
+    for th in spsp_bound_pool():
+        assert_price_cut_changes_no_survivor(th.graph, th.source, th.target)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_spsp_price_cut_changes_no_survivor(g, data):
+    target = data.draw(st.integers(0, g.n - 1))
+    assert_price_cut_changes_no_survivor(g, 0, target)
