@@ -52,8 +52,9 @@ class FullPath(SinglePairShortestPath):
 
 
 class IncumbentPath(SinglePairShortestPath):
-    """Single-pair shortest path bounded by the incumbent alone: no node's
-    limit is cut to its price.
+    """Single-pair shortest path bounded by the incumbent alone, the same
+    swept cost as ``SinglePairShortestPath``'s: no node's limit is cut to
+    its price.
 
     The reference the price cut is tested against, in the way ``FullPath``
     stands for the unbounded search.

@@ -49,7 +49,7 @@ def full_knapsack3():
 
 
 def test_expand_initial_frontier(triangle):
-    th = SinglePairShortestPath(triangle, 0, 2)
+    th = FullPath(triangle, 0, 2)
     children = expand(th, [th.initial()])
     assert [c.serial for c in children] == [(0,), (2,)]
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import FullKnapsack
+from conftest import FullKnapsack, FullPath
 
 from frontier_search.oracles import (
     CapExceeded,
@@ -118,7 +118,7 @@ def test_enumerate_extensions_terminal(triangle):
 
 
 def test_enumerate_extensions_from_root_matches_brute_force(triangle):
-    th = SinglePairShortestPath(triangle, 0, 2)
+    th = FullPath(triangle, 0, 2)
     exts = enumerate_extensions(th, th.initial(), th.max_depth())
     oracle = brute_force(th)
     assert {z for _, z, _ in exts} == {(0, 1), (2,)}

@@ -22,9 +22,32 @@ def test_initial_is_empty_path(triangle):
 
 
 def test_split_from_source(triangle):
+    # The direct edge 2 (weight 3) costs more than the incumbent, the detour
+    # over node 1 (weight 2), so only the unbounded split keeps it.
     th = theory(triangle)
-    children = th.split(th.initial())
-    assert [c.serial for c in children] == [(0,), (2,)]
+    assert [c.serial for c in th.split(th.initial())] == [(0,)]
+    full = FullPath(triangle, 0, 2)
+    assert [c.serial for c in full.split(full.initial())] == [(0,), (2,)]
+
+
+def test_incumbent_sweeps_below_the_fewest_edge_price(triangle):
+    # Node 1 lowers node 2 through the detour after the source has priced it
+    # along the direct edge.
+    th = theory(triangle)
+    assert th._prices == [0, 1, 3]
+    assert th.incumbent == 2
+
+
+def test_incumbent_misses_a_back_edge_but_solve_does_not():
+    # Node 2 is swept after node 1, so the one sweep never carries node 2's
+    # cost of 1 back to node 1: the incumbent stays the fewest-edge price 11,
+    # while the optimum 0-2-1-3 costs 3.
+    g = Graph(4, ((0, 1, 10), (0, 2, 1), (1, 2, 1), (1, 3, 1)))
+    th = theory(g, 0, 3)
+    assert th._prices[3] == th.incumbent == 11
+    result = solve(th)
+    assert result.optimal_cost == 3
+    assert result.optima == {(1, 2, 3)}
 
 
 def test_split_avoids_revisits(triangle):

@@ -35,8 +35,13 @@ FINGERPRINTS = {
     # that dominance would prune straight away is not built: over the seed-1
     # cases generated fell 16,439 -> 7,612, dominated_pruned 14,596 ->
     # 5,803 and equivalence_merged 62 -> 28, while levels (75),
-    # locals_found (22) and the survivors (1,781) stayed.
-    "spsp-exhaustive": "180a6afd7c32ea63",
+    # locals_found (22) and the survivors (1,781) stayed.  The incumbent is
+    # then one breadth-first relaxation sweep's cost at the target, at most
+    # its fewest-edge price, so the bound admits fewer paths: over the
+    # seed-1 cases generated fell 7,612 -> 1,147, dominated_pruned 5,803 ->
+    # 470, equivalence_merged 28 -> 3, levels 75 -> 60, locals_found 22 -> 12
+    # and the survivors 1,781 -> 674, with the same optima.
+    "spsp-exhaustive": "21276ee81921ea86",
 }
 
 

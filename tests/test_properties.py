@@ -703,11 +703,17 @@ def test_spsp_bound_keeps_every_move_that_can_reach_the_incumbent(g, data):
     # the theory.
     target = data.draw(st.integers(0, g.n - 1))
     th, full = SinglePairShortestPath(g, 0, target), FullPath(g, 0, target)
-    # A node's price is the cheapest of its paths with the fewest edges, and
-    # the incumbent is the target's.
+    # A node's price is the cheapest of its paths with the fewest edges.  The
+    # incumbent is the cost of one simple path to the target, between
+    # Dijkstra's distance and the target's price.
     prices = [fewest_edge_cost(simple_paths(g, 0, v, {0})) for v in range(g.n)]
     assert th._prices == [-1 if p is None else p for p in prices]
-    assert th.incumbent == prices[target]
+    to_target = simple_paths(g, 0, target, {0})
+    if to_target:
+        assert th.incumbent in {c for _, c in to_target}
+        assert distances(g, 0)[target] <= th.incumbent <= prices[target]
+    else:
+        assert th.incumbent is None
     for layer in enumerate_levels(full):
         for y in layer:
             kept = th.child_moves(y)
