@@ -34,22 +34,20 @@ dropping it would drop that optimum from the result.
 heuristic (Hart, Nilsson and Raphael 1968), but to filter moves, never to
 order them.  The incumbent is the cost of a feasible solution the theory
 holds before the search starts, from one breadth-first search from the
-source, O(n + m).  Besides each node's price (below), that search keeps a
-swept cost per node: a node starts at the cost it is discovered at, and
-each node, in breadth-first order, lowers the swept cost of every neighbour
-through its own, one in-order pass of Bellman's relaxation (Bellman 1958).
-The incumbent is the target's swept cost, and it is the cost of a simple
-path.  A swept cost is set only at discovery or when it strictly falls,
+source, O(n + m).  That search keeps a swept cost per node: a node starts at
+the cost it is discovered at, and each node, in breadth-first order, lowers
+the swept cost of every neighbour through its own, one in-order pass of
+Bellman's relaxation (Bellman 1958).  The incumbent is the target's swept
+cost.  A swept cost is set only at discovery or when it strictly falls,
 each time from the node u being swept, with the cost u holds then, which
-was set before u was swept.  So following the sources of the target's cost
+was set before u was swept.  So following the sources of a node's cost
 walks back to the source through nodes swept in strictly decreasing order,
-all distinct.  The target is not among them either: its cost would then be
+all distinct.  The node is not among them either: its cost would then be
 an earlier cost of its own plus a cycle of weight >= 0, no lower, yet each
-change after discovery lowers it strictly.  By induction in breadth-first
-order, each node's swept cost when it is swept is at most its price, so the
-incumbent lies between the optimum and the target's price.  One pass does
-not follow an edge back to a node swept earlier, so the incumbent can still
-lie above the optimum.
+change after discovery lowers it strictly.  So every swept cost is the cost
+of a simple path, and by induction in breadth-first order it is at most the
+node's cheapest fewest-edge path.  One pass does not follow an edge back to
+a node swept earlier, so the incumbent can still lie above the optimum.
 
 A lower bound h on the rest of the way is 0 at the target and, at any other
 node, the lightest edge at the target, which every route there ends with.
@@ -62,22 +60,15 @@ survivors that the bound admits, and the optima stay the same.  With no
 route to the target no move is kept.  None of this depends on which
 feasible cost the incumbent is.
 
-The same search prices every node: its price is the cost of its cheapest
-fewest-edge path, -1 if the source does not reach it.  A node's limit is
-also at most its price (the target's is the incumbent, no more than its
-price), so a child that costs more than its end node's price is never
-built.  That child is one dominance would prune right after building it.
-By induction along the breadth-first parents, at level depth(v) the
-frontier holds a path to v costing exactly price(v): its nodes all lie
-nearer the source than v, so it extends to v, nothing reaches v at an
-earlier level, and since h is consistent the bound admits every step of
-that chain whenever it admits a costlier child at v.  So each costlier child at v is pruned, within the
-level at depth(v) and across levels after it.  The cut drops only such
-children, so every level keeps the same survivors, and the levels, the
-locals and the optima stay the same; only the children built, pruned and
-merged fall.  Under ``IdentityDominance``, which prunes nothing, the cut is
-sound by the cross-level argument above with the breadth-first path as y':
-a child costlier than its end node's price is the prefix of no optimum.
+A node's limit is also at most its swept cost, so a child c at v that costs
+more than swept(v) is never built.  By the cross-level argument above, with
+the simple path of cost swept(v) as y', c is the prefix of no optimum.  The
+cut keeps every member that costs Dijkstra's distance to its end node, since
+that distance is at most the swept cost, and each of its prefixes costs the
+distance to its own end node too.  Nothing cut ties or beats such a member,
+so each level keeps the same members of that cost in the same order as
+without the cut, and the optima stay the same.  The cut may change which
+costlier members a level keeps.
 """
 
 from __future__ import annotations
@@ -127,57 +118,40 @@ class SinglePairShortestPath(ProblemTheory):
         return nodes
 
     @cached_property
-    def _breadth_first(self) -> tuple[list[int], list[int]]:
-        """Per node, its price and its swept cost, each -1 if the node is
-        unreached.  Each node, in breadth-first order, prices its neighbours
-        one layer on, as their cheapest way in from its layer, and lowers the
-        swept cost of every neighbour through its own."""
-        n = self.graph.n
-        depth, price, swept = [-1] * n, [-1] * n, [-1] * n
-        depth[self.source] = price[self.source] = swept[self.source] = 0
+    def _swept(self) -> list[int]:
+        """Per node, its swept cost, -1 if the node is unreached.  Each node,
+        in breadth-first order, lowers the swept cost of every neighbour
+        through its own."""
+        swept = [-1] * self.graph.n
+        swept[self.source] = 0
         order = [self.source]
         for u in order:
-            du, pu, su = depth[u] + 1, price[u], swept[u]
+            su = swept[u]
             for _, v, w in self._adj[u]:
-                if depth[v] < 0:
-                    depth[v], price[v], swept[v] = du, pu + w, su + w
-                    order.append(v)
-                    continue
-                if depth[v] == du and pu + w < price[v]:
-                    price[v] = pu + w
-                if su + w < swept[v]:
+                if swept[v] < 0:
                     swept[v] = su + w
-        return price, swept
-
-    @property
-    def _prices(self) -> list[int]:
-        """Per node, the cost of its cheapest fewest-edge path, -1 if the
-        node is unreached."""
-        return self._breadth_first[0]
+                    order.append(v)
+                elif su + w < swept[v]:
+                    swept[v] = su + w
+        return swept
 
     @cached_property
     def incumbent(self) -> Optional[int]:
-        """The target's swept cost, ``None`` if no path reaches the target.
-
-        Each swept cost is set from the cost a node held when it was swept,
-        and that cost was set before then, so following the sources back
-        from the target visits each node at most once: the incumbent is the
-        cost of a simple path, no lower than the optimum and no higher than
-        the target's price (module docstring)."""
-        swept = self._breadth_first[1][self.target]
+        """The target's swept cost, ``None`` if no path reaches the target."""
+        swept = self._swept[self.target]
         return swept if swept >= 0 else None
 
     @cached_property
     def _limits(self) -> list[int]:
         """Per node, the highest cost a path ending there may have: the
-        incumbent less h, and no more than the node's price; -1, admitting
-        nothing, with no incumbent."""
+        incumbent less h, and no more than the node's swept cost; -1,
+        admitting nothing, with no incumbent."""
         if self.incumbent is None:
             return [-1] * self.graph.n
         rest = min((w for _, _, w in self._adj[self.target]), default=0)
-        # min(cap, p) per node, without a call per node.
+        # min(cap, s) per node, without a call per node.
         cap = self.incumbent - rest
-        limits = [p if p < cap else cap for p in self._prices]
+        limits = [s if s < cap else cap for s in self._swept]
         limits[self.target] = self.incumbent
         return limits
 
@@ -193,10 +167,10 @@ class SinglePairShortestPath(ProblemTheory):
     def split(self, y: PathDescriptor) -> list[PathDescriptor]:
         # Only edges hanging off the end node that reach an unvisited node
         # within its limit; anything else could never become a feasible path
-        # as cheap as the incumbent, or costs more than the path dominance
-        # keeps at that node.  ``adjacency`` lists them in increasing
-        # edge index, the canonical child order.  The visited set is derived
-        # once per parent.
+        # as cheap as the incumbent, or costs more than a simple path to that
+        # node whose cost the theory holds.  ``adjacency`` lists them in
+        # increasing edge index, the canonical child order.  The visited set
+        # is derived once per parent.
         serial, end, cost = y
         visited, limits = self._nodes(y), self._limits
         return [

@@ -111,6 +111,13 @@ class ProblemTheory(ABC):
         reachable.  Along a path the bound must never improve, and a
         dominator's bound must be at least as good as what it dominates, so
         that dominance prunes the same members with or without it.
+
+        A theory may also omit a child that a descriptor it already holds
+        strictly dominates: every solution through the child is strictly
+        worse than one through that descriptor, as for an spsp child that
+        costs more than a simple path the theory holds to the same node.
+        Such a cut may change which members a level keeps, but not the
+        optima.
         """
 
     @abstractmethod

@@ -53,10 +53,10 @@ class FullPath(SinglePairShortestPath):
 
 class IncumbentPath(SinglePairShortestPath):
     """Single-pair shortest path bounded by the incumbent alone, the same
-    swept cost as ``SinglePairShortestPath``'s: no node's limit is cut to
-    its price.
+    swept cost as ``SinglePairShortestPath``'s: no other node's limit is cut
+    to its swept cost.
 
-    The reference the price cut is tested against, in the way ``FullPath``
+    The reference the swept cut is tested against, in the way ``FullPath``
     stands for the unbounded search.
     """
 

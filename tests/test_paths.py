@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FullPath, assert_stats_ledger, multigraphs
+from conftest import FullPath, IncumbentPath, assert_stats_ledger, multigraphs
 
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
 from frontier_search.cli import gen_graph
@@ -31,23 +31,40 @@ def test_split_from_source(triangle):
 
 
 def test_incumbent_sweeps_below_the_fewest_edge_price(triangle):
-    # Node 1 lowers node 2 through the detour after the source has priced it
-    # along the direct edge.
+    # The source discovers node 2 along the direct edge at 3, its fewest-edge
+    # cost; node 1 then lowers it through the detour.
     th = theory(triangle)
-    assert th._prices == [0, 1, 3]
+    assert th._swept == [0, 1, 2]
     assert th.incumbent == 2
 
 
 def test_incumbent_misses_a_back_edge_but_solve_does_not():
-    # Node 2 is swept after node 1, so the one sweep never carries node 2's
-    # cost of 1 back to node 1: the incumbent stays the fewest-edge price 11,
-    # while the optimum 0-2-1-3 costs 3.
+    # Node 2 is swept after node 1, so it lowers node 1 to 2 too late for the
+    # one sweep to carry that on to node 3: the incumbent stays the
+    # fewest-edge cost 11, while the optimum 0-2-1-3 costs 3.
     g = Graph(4, ((0, 1, 10), (0, 2, 1), (1, 2, 1), (1, 3, 1)))
     th = theory(g, 0, 3)
-    assert th._prices[3] == th.incumbent == 11
+    assert th._swept == [0, 2, 1, 11]
+    assert th.incumbent == 11
     result = solve(th)
     assert result.optimal_cost == 3
     assert result.optima == {(1, 2, 3)}
+
+
+def test_swept_cut_skips_a_child_within_the_incumbent_bound():
+    # The direct edge to node 2 costs 3: within h's cap of 22 (the incumbent
+    # 22 less the lightest edge at the target, 0) and equal to node 2's
+    # fewest-edge cost, but above its swept cost of 2, so it is never built.
+    g = Graph(5, ((0, 1, 1), (1, 2, 1), (0, 2, 3), (2, 4, 20), (4, 3, 0)))
+    th, ref = theory(g, 0, 3), IncumbentPath(g, 0, 3)
+    assert th._swept == [0, 1, 2, 22, 22]
+    assert [c.serial for c in th.split(th.initial())] == [(0,)]
+    assert [c.serial for c in ref.split(ref.initial())] == [(0,), (2,)]
+    cut, uncut = solve(th), solve(ref)
+    assert cut.stats.per_level_width == ((1, 1),) * 4 + ((0, 0),)
+    assert uncut.stats.per_level_width[0] == (2, 2)
+    assert cut.optima == uncut.optima == {(0, 1, 3, 4)}
+    assert cut.optimal_cost == uncut.optimal_cost == 22
 
 
 def test_split_avoids_revisits(triangle):

@@ -40,8 +40,14 @@ FINGERPRINTS = {
     # its fewest-edge price, so the bound admits fewer paths: over the
     # seed-1 cases generated fell 7,612 -> 1,147, dominated_pruned 5,803 ->
     # 470, equivalence_merged 28 -> 3, levels 75 -> 60, locals_found 22 -> 12
-    # and the survivors 1,781 -> 674, with the same optima.
-    "spsp-exhaustive": "21276ee81921ea86",
+    # and the survivors 1,781 -> 674, with the same optima.  Each node's
+    # limit is then its swept cost in place of its price, so children that
+    # cost more than a simple path the theory already holds to their end
+    # node are not built: over the seed-1 cases generated fell 1,147 -> 708,
+    # dominated_pruned 470 -> 145, equivalence_merged 3 -> 0, locals_found
+    # 12 -> 11 and the survivors 674 -> 563, while levels (60) and the optima
+    # stayed.
+    "spsp-exhaustive": "d2dc908b7a655683",
 }
 
 

@@ -699,21 +699,23 @@ def fewest_edge_cost(paths):
 @given(multigraphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_spsp_bound_keeps_every_move_that_can_reach_the_incumbent(g, data):
-    # Completions and prices are enumerated over the raw edges, not through
-    # the theory.
+    # Completions and fewest-edge costs are enumerated over the raw edges,
+    # not through the theory.
     target = data.draw(st.integers(0, g.n - 1))
     th, full = SinglePairShortestPath(g, 0, target), FullPath(g, 0, target)
-    # A node's price is the cheapest of its paths with the fewest edges.  The
-    # incumbent is the cost of one simple path to the target, between
-    # Dijkstra's distance and the target's price.
-    prices = [fewest_edge_cost(simple_paths(g, 0, v, {0})) for v in range(g.n)]
-    assert th._prices == [-1 if p is None else p for p in prices]
-    to_target = simple_paths(g, 0, target, {0})
-    if to_target:
-        assert th.incumbent in {c for _, c in to_target}
-        assert distances(g, 0)[target] <= th.incumbent <= prices[target]
-    else:
-        assert th.incumbent is None
+    # Each swept cost is the cost of one simple path to its node, between
+    # Dijkstra's distance and the cheapest of its paths with the fewest
+    # edges; the incumbent is the target's.
+    dist = distances(g, 0)
+    swept = th._swept
+    for v in range(g.n):
+        paths = simple_paths(g, 0, v, {0})
+        if paths:
+            assert swept[v] in {c for _, c in paths}
+            assert dist[v] <= swept[v] <= fewest_edge_cost(paths)
+        else:
+            assert swept[v] == -1
+    assert th.incumbent == (swept[target] if swept[target] >= 0 else None)
     for layer in enumerate_levels(full):
         for y in layer:
             kept = th.child_moves(y)
@@ -727,11 +729,11 @@ def test_spsp_bound_keeps_every_move_that_can_reach_the_incumbent(g, data):
                 if (
                     rest
                     and child.cost + min(c for _, c in rest) <= th.incumbent
-                    and child.cost <= prices[child.end]
+                    and child.cost <= swept[child.end]
                 ):
                     assert (inc, move) in kept, (y, move)
                 if (inc, move) in kept:
-                    assert child.cost <= prices[child.end], (y, move)
+                    assert child.cost <= swept[child.end], (y, move)
 
 
 @given(multigraphs(), st.data())
@@ -781,12 +783,13 @@ def test_spsp_bound_edge_cases():
 
 
 def test_bounded_spsp_levels_are_the_full_levels_the_bound_admits():
-    # Each level's survivors are the unbounded search's survivors whose cost
-    # is within their end node's limit, in the same order, keyed and pairwise.
+    # Under the incumbent bound alone, each level's survivors are the
+    # unbounded search's survivors whose cost is within their end node's
+    # limit, in the same order, keyed and pairwise: h is consistent.
     for base in spsp_bound_pool():
         g, source, target = base.graph, base.source, base.target
         for keyed in (True, False):
-            th, full = SinglePairShortestPath(g, source, target), FullPath(g, source, target)
+            th, full = IncumbentPath(g, source, target), FullPath(g, source, target)
             if not keyed:
                 th.equivalence_key = full.equivalence_key = None
             frontier, full_frontier = [th.initial()], [full.initial()]
@@ -813,13 +816,26 @@ def test_bounded_spsp_equals_full_path_on_property_pools():
             assert bounded_run.stats.generated <= full_run.stats.generated
 
 
-# -- spsp price cut ------------------------------------------------------------
+# -- spsp swept cut ------------------------------------------------------------
 
 
-def assert_price_cut_changes_no_survivor(g, source, target):
-    # Each level keeps the same survivors with and without the cut, so the
-    # optima, the level count, the locals and the undominated width column
-    # agree; the cut builds no more children.
+def optimal_cost_members(th, dist):
+    """Each level's survivors that cost Dijkstra's distance to their end
+    node, stepping the engine's stages level by level."""
+    frontier, history, levels = [th.initial()], {}, []
+    while frontier:
+        levels.append([y for y in frontier if y.cost == dist[y.end]])
+        frontier = filter_dominated(
+            th, reduce_equivalent(th, expand(th, frontier))[0], history
+        )[0]
+    return levels
+
+
+def assert_swept_cut_keeps_the_optimal_cost_members(g, source, target):
+    # The cut may change which costlier members a level keeps, but each level
+    # keeps the same members that cost the distance to their end node, in
+    # the same order, so the optima agree; it builds no more children.
+    dist = distances(g, source)
     for keyed in (True, False):
         th, ref = SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)
         if not keyed:
@@ -827,23 +843,20 @@ def assert_price_cut_changes_no_survivor(g, source, target):
         cut, uncut = solve(th), solve(ref)
         assert cut.optima == uncut.optima
         assert cut.optimal_cost == uncut.optimal_cost
-        assert cut.stats.levels == uncut.stats.levels
-        assert cut.stats.locals_found == uncut.stats.locals_found
-        widths = [kept for _, kept in cut.stats.per_level_width]
-        assert widths == [kept for _, kept in uncut.stats.per_level_width]
         assert cut.stats.generated <= uncut.stats.generated
         assert_stats_ledger(cut.stats)
+        assert optimal_cost_members(th, dist) == optimal_cost_members(ref, dist)
     th, ref = SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)
     assert solve(IdentityDominance(th)).optima == solve(IdentityDominance(ref)).optima
 
 
-def test_spsp_price_cut_changes_no_survivor_on_property_pools():
+def test_spsp_swept_cut_keeps_the_optimal_cost_members_on_property_pools():
     for th in spsp_bound_pool():
-        assert_price_cut_changes_no_survivor(th.graph, th.source, th.target)
+        assert_swept_cut_keeps_the_optimal_cost_members(th.graph, th.source, th.target)
 
 
 @given(multigraphs(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_spsp_price_cut_changes_no_survivor(g, data):
+def test_spsp_swept_cut_keeps_the_optimal_cost_members(g, data):
     target = data.draw(st.integers(0, g.n - 1))
-    assert_price_cut_changes_no_survivor(g, 0, target)
+    assert_swept_cut_keeps_the_optimal_cost_members(g, 0, target)
