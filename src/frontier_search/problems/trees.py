@@ -38,7 +38,12 @@ differencing, the step Smith's KIDS applies after the global-search schema):
 rather than recompute the candidate moves at every level, the walk keeps
 them and updates them by the one element each level adds.  The rooted walk
 keeps the crossing edges in a lazy-deletion heap keyed ``(increment, edge
-index)``.  Kruskal's tries the edges in ``(weight, edge index)`` order and
+index)``, and pushes an edge only when its increment is at most the lowest
+already pushed for its outside node: a costlier edge is dominated, as it can
+never be the cheapest child, so it is counted but not pushed.  Ties are
+pushed, so the heap still picks the smallest edge index.
+Kruskal's sorts the edge indices by weight, which Python's stable sort
+leaves in ``(weight, edge index)`` order, tries the edges in that order and
 keeps a component label per node, relabelling the smaller component on each
 merge (the weighted-union heuristic).  Both keep the level's move count up
 to date and return every level's count with the last descriptor, the only
@@ -50,7 +55,8 @@ the default walk's, in O(m log n) time in place of O(n m).
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from math import inf
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -90,10 +96,23 @@ def _components(graph: Graph, edges: Iterable[int]) -> list[int]:
 
 
 def is_spanning_tree(graph: Graph, z: frozenset[int]) -> bool:
-    """n - 1 edges of the graph joining every node into one component."""
-    if len(z) != graph.n - 1 or not all(0 <= ei < graph.m for ei in z):
+    """n - 1 edges of the graph joining every node into one component.
+
+    n - 1 edges span the graph exactly when none of them closes a cycle, so
+    one union-find pass that stops at the first such edge decides it.
+    """
+    if len(z) != graph.n - 1:
         return False
-    return max(_components(graph, z)) == 0
+    if z and (min(z) < 0 or max(z) >= graph.m):
+        return False
+    edges, parent = graph.edges, list(range(graph.n))
+    for ei in z:
+        a, b, _ = edges[ei]
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
 
 
 def tree_distances(graph: Graph, z: Iterable[int], source: int) -> dict[int, int]:
@@ -199,18 +218,15 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         dist = tree_distances(self.graph, edges, self.root)
         return {v: self._label(d) for v, d in dist.items()}
 
-    def _crossing(self, labels: dict[int, int]) -> list[tuple[int, int, int]]:
-        """The edges with exactly one end in the tree ``labels`` spans, as
-        ``(increment, edge index, outside node)``."""
-        return [
-            (labels[u] + w, ei, v)
+    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
+        # The crossing edges: those with exactly one end in the tree.
+        labels = self._labels(y.serial)
+        moves = [
+            (labels[u] + w, ei)
             for u in labels
             for ei, v, w in self._adj[u]
             if v not in labels
         ]
-
-    def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
-        moves = [(inc, ei) for inc, ei, _ in self._crossing(self._labels(y.serial))]
         moves.sort(key=itemgetter(1))
         return moves
 
@@ -227,32 +243,42 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
 
     def greedy_walk(self) -> tuple[list[int], TreeDescriptor]:
         # The crossing edges sit in a heap keyed (increment, ei, outside
-        # node); an entry goes stale, and is skipped when popped, once its
-        # outside node joins.  Attaching v turns v's edges to the inside
-        # from crossing to internal and its edges to the outside into new
-        # crossing edges, which keeps the move count without a rescan.
+        # node).  ``low[x]`` is -1 once x is inside the tree, and otherwise
+        # the lowest increment pushed for x so far: an edge into x costlier
+        # than that is dominated, as it can never be the cheapest child, so
+        # it is counted but not pushed.  Ties are pushed, which leaves the
+        # smallest edge index to the heap.  An entry goes stale, and is
+        # skipped when popped, once its outside node joins.  Attaching v
+        # turns v's edges to the inside from crossing to internal and its
+        # edges to the outside into new crossing edges, which keeps the
+        # move count without a rescan.
         adj = self._adj
-        labels = {self.root: 0}
-        heap = self._crossing(labels)
-        heapify(heap)
-        crossing = len(heap)
+        low: list = [inf] * self.graph.n
+        heap: list[tuple[int, int, int]] = []
+        crossing = 0
         counts: list[int] = []
         added: list[int] = []
+        v, label = self.root, 0
         for _ in range(self.max_depth()):
+            low[v] = -1
+            for ej, x, w in adj[v]:
+                lowest = low[x]
+                if lowest < 0:
+                    crossing -= 1
+                else:
+                    crossing += 1
+                    inc = label + w
+                    if inc <= lowest:
+                        low[x] = inc
+                        heappush(heap, (inc, ej, x))
             counts.append(crossing)
             if not crossing:
                 break
             inc, ei, v = heappop(heap)
-            while v in labels:
+            while low[v] < 0:
                 inc, ei, v = heappop(heap)
-            labels[v] = label = self._label(inc)
+            label = self._label(inc)
             added.append(ei)
-            for ej, x, w in adj[v]:
-                if x in labels:
-                    crossing -= 1
-                else:
-                    crossing += 1
-                    heappush(heap, (label + w, ej, x))
         return counts, TreeDescriptor(tuple(sorted(added)))
 
 
@@ -314,14 +340,17 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             far[b].append(a)
         far = [tuple(ends) for ends in far]
         joining = len(edges)
-        order = iter(sorted((w, ei) for ei, (_, _, w) in enumerate(edges)))
+        # Python's sort is stable, so sorting the indices by weight alone
+        # gives (weight, ei) order without building a tuple per edge.
+        weights = [w for _, _, w in edges]
+        order = iter(sorted(range(len(edges)), key=weights.__getitem__))
         counts: list[int] = []
         added: list[int] = []
         for _ in range(self.max_depth()):
             counts.append(joining)
             if not joining:
                 break
-            for _, ei in order:
+            for ei in order:
                 a, b, _ = edges[ei]
                 if comp[a] != comp[b]:
                     break

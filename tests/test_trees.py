@@ -1,4 +1,5 @@
 import copy
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,12 @@ from frontier_search.problems import (
     KruskalSpanningTree,
     PrimSpanningTree,
     ShortestPathTree,
+    TreeDescriptor,
     is_spanning_tree,
     tree_distances,
 )
 from frontier_search.problems.graphs import GraphDisconnected, InvalidNode
+from frontier_search.problems.trees import _components
 from frontier_search.theory import ProblemTheory
 
 GREEDY = EngineConfig(mode=Mode.GREEDY)
@@ -249,6 +252,28 @@ def test_is_spanning_tree():
     assert not is_spanning_tree(g2, frozenset((0, 1, 2)))  # cycle, misses node 3
 
 
+@pytest.mark.parametrize("g", [
+    Graph(1, ()),
+    Graph(2, ((0, 1, 3), (1, 0, 3), (0, 1, 0))),
+    Graph(4, ((0, 1, 1), (1, 0, 1), (1, 2, 2), (2, 3, 0), (3, 1, 5), (0, 3, 2))),
+    Graph(5, ((0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 2), (4, 3, 2), (1, 0, 4))),
+    Graph(6, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, 1),
+              (2, 3, 7), (0, 3, 2))),
+])
+def test_is_spanning_tree_matches_the_component_definition(g):
+    # Every subset of the edge indices and the two just out of range, on
+    # multigraphs whose parallel edges close two-edge cycles (the 5-node one
+    # is disconnected).
+    for k in range(g.m + 3):
+        for z in map(frozenset, combinations(range(-1, g.m + 1), k)):
+            spans = (
+                len(z) == g.n - 1
+                and all(0 <= ei < g.m for ei in z)
+                and max(_components(g, z)) == 0
+            )
+            assert is_spanning_tree(g, z) == spans, z
+
+
 # -- greedy walk ---------------------------------------------------------------
 
 TREE_THEORIES = {
@@ -312,6 +337,17 @@ def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth,
     (counts, last), (default_counts, default_last) = (
         bounded(th, walk_depth).greedy_walk() for th in theories[:2])
     assert counts == default_counts and last == default_last
+
+
+@pytest.mark.parametrize("problem", ["sssp", "prim"])
+def test_rooted_walk_pushes_an_edge_that_ties_the_lowest_increment(problem):
+    # Node 1 joins before node 2, each along a weight-1 edge.  Node 2's
+    # edge 0 into node 3 then ties node 1's edge 2 (increment 5 under SSSP,
+    # 4 under Prim), and the smaller index must win.
+    g = Graph(4, ((2, 3, 4), (0, 1, 1), (1, 3, 4), (0, 2, 1)))
+    fast, default = walk_variants(problem, g)[:2]
+    expected = ([2, 2, 2], TreeDescriptor((0, 1, 3)))
+    assert fast.greedy_walk() == default.greedy_walk() == expected
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
