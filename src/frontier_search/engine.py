@@ -302,8 +302,12 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
 
     if theory.strictly_ranked:
         counts, last = theory.greedy_walk()
-        rows = [(n_moves, min(n_moves, 1)) for n_moves in counts]
-        pruned = sum(raw - undom for raw, undom in rows)
+        # One survivor per level, but none at the empty level that ends a walk.
+        kept = [1] * len(counts)
+        if counts and not counts[-1]:
+            kept[-1] = 0
+        rows = list(zip(counts, kept))
+        pruned = sum(counts) - sum(kept)
         found = collect_locals(theory, [last])
 
     else:

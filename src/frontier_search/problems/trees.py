@@ -42,14 +42,16 @@ index)``, and pushes an edge only when its increment is at most the lowest
 already pushed for its outside node: a costlier edge is dominated, as it can
 never be the cheapest child, so it is counted but not pushed.  Ties are
 pushed, so the heap still picks the smallest edge index.
-Kruskal's sorts the edge indices by weight, which Python's stable sort
-leaves in ``(weight, edge index)`` order, tries the edges in that order and
-keeps a component label per node, relabelling the smaller component on each
-merge (the weighted-union heuristic).  Both keep the level's move count up
-to date and return every level's count with the last descriptor, the only
-one they build.  The walks pick the same child and count the same moves as
-``child_moves`` at every level, so optima and every search statistic equal
-the default walk's, in O(m log n) time in place of O(n m).
+Kruskal's tries the edges in ``(weight, edge index)`` order and keeps a
+component label per node, relabelling the smaller component on each merge
+(the weighted-union heuristic).  That order, which Python's stable sort
+gives from the weights alone, and each node's far edge ends depend on the
+graph alone, so the theory builds both once and every walk only reads them.
+Both keep the level's move count up to date and return every level's count
+with the last descriptor, the only one they build.  The walks pick the same
+child and count the same moves as ``child_moves`` at every level, so optima
+and every search statistic equal the default walk's, in O(m log n) time in
+place of O(n m).
 """
 
 from __future__ import annotations
@@ -117,19 +119,20 @@ def is_spanning_tree(graph: Graph, z: frozenset[int]) -> bool:
 
 def tree_distances(graph: Graph, z: Iterable[int], source: int) -> dict[int, int]:
     """Root-path cost of every node the acyclic edge set ``z`` joins to ``source``."""
-    adj: dict[int, list[tuple[int, int]]] = {}
+    edges = graph.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for ei in z:
-        a, b, w = graph.edges[ei]
-        adj.setdefault(a, []).append((b, w))
-        adj.setdefault(b, []).append((a, w))
+        a, b, w = edges[ei]
+        adj[a].append((b, w))
+        adj[b].append((a, w))
     dist = {source: 0}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v, w in adj.get(u, ()):
+    order = [source]
+    for u in order:
+        du = dist[u]
+        for v, w in adj[u]:
             if v not in dist:
-                dist[v] = dist[u] + w
-                stack.append(v)
+                dist[v] = du + w
+                order.append(v)
     return dist
 
 
@@ -249,9 +252,10 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         # it is counted but not pushed.  Ties are pushed, which leaves the
         # smallest edge index to the heap.  An entry goes stale, and is
         # skipped when popped, once its outside node joins.  Attaching v
-        # turns v's edges to the inside from crossing to internal and its
-        # edges to the outside into new crossing edges, which keeps the
-        # move count without a rescan.
+        # turns v's ``inside`` edges, those whose far end is already in the
+        # tree, from crossing to internal and its other edges into new
+        # crossing edges, so the move count changes by ``len(edges) - 2 *
+        # inside`` per level without a rescan.
         adj = self._adj
         low: list = [inf] * self.graph.n
         heap: list[tuple[int, int, int]] = []
@@ -261,16 +265,18 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         v, label = self.root, 0
         for _ in range(self.max_depth()):
             low[v] = -1
-            for ej, x, w in adj[v]:
+            edges = adj[v]
+            inside = 0
+            for ej, x, w in edges:
                 lowest = low[x]
                 if lowest < 0:
-                    crossing -= 1
+                    inside += 1
                 else:
-                    crossing += 1
                     inc = label + w
                     if inc <= lowest:
                         low[x] = inc
                         heappush(heap, (inc, ej, x))
+            crossing += len(edges) - 2 * inside
             counts.append(crossing)
             if not crossing:
                 break
@@ -310,6 +316,25 @@ class ShortestPathTree(_TreeGrowthTheory):
 class KruskalSpanningTree(_SpanningTreeTheory):
     """Minimum spanning tree built by merging forest components."""
 
+    def __init__(self, graph: Graph):
+        super().__init__(graph)
+        # The walk's tables depend on the graph alone, so each theory builds
+        # them once and every walk only reads them.  ``_far[v]`` holds the
+        # far ends of v's edges, and ``_order`` the edge indices by weight:
+        # Python's sort is stable, so sorting by weight alone gives (weight,
+        # ei) order without building a tuple per edge.  Both are tuples,
+        # which the garbage collector stops tracking once they hold only
+        # ints or such tuples, while lists kept alive set off full
+        # collections.
+        edges = graph.edges
+        far: list[list[int]] = [[] for _ in range(graph.n)]
+        for a, b, _ in edges:
+            far[a].append(b)
+            far[b].append(a)
+        self._far = tuple(map(tuple, far))
+        weights = [w for _, _, w in edges]
+        self._order = tuple(sorted(range(len(edges)), key=weights.__getitem__))
+
     def child_moves(self, y: TreeDescriptor) -> list[tuple[int, int]]:
         comp = _components(self.graph, y.serial)
         return [
@@ -325,25 +350,17 @@ class KruskalSpanningTree(_SpanningTreeTheory):
         )
 
     def greedy_walk(self) -> tuple[list[int], TreeDescriptor]:
-        # Edges are tried in (weight, ei) order and skipped once both ends
-        # carry one label; every node starts as a component of its own.
-        # ``ring[v]`` is v's successor in its component's circular member
-        # list and ``far[v]`` the far ends of v's joining edges, as a tuple:
-        # the garbage collector stops tracking tuples of ints, while lists
-        # kept alive set off full collections.  A merge counts off the edges
-        # between its sides, then relabels the smaller.
-        n, edges = self.graph.n, self.graph.edges
+        # Edges are tried in the theory's (weight, ei) order and skipped
+        # once both ends carry one label; every node starts as a component
+        # of its own.  ``ring[v]`` is v's successor in its component's
+        # circular member list.  A merge counts off the edges between its
+        # sides, read from the theory's ``far`` table, then relabels the
+        # smaller.  The walk's own iterator over the order keeps the tables
+        # intact for the next walk.
+        n, edges, far = self.graph.n, self.graph.edges, self._far
         comp, ring, size = list(range(n)), list(range(n)), [1] * n
-        far: list = [[] for _ in range(n)]
-        for a, b, _ in edges:
-            far[a].append(b)
-            far[b].append(a)
-        far = [tuple(ends) for ends in far]
         joining = len(edges)
-        # Python's sort is stable, so sorting the indices by weight alone
-        # gives (weight, ei) order without building a tuple per edge.
-        weights = [w for _, _, w in edges]
-        order = iter(sorted(range(len(edges)), key=weights.__getitem__))
+        order = iter(self._order)
         counts: list[int] = []
         added: list[int] = []
         for _ in range(self.max_depth()):

@@ -28,6 +28,7 @@ from frontier_search.problems import (
     PrimSpanningTree,
     ShortestPathTree,
     SinglePairShortestPath,
+    TreeDescriptor,
 )
 from frontier_search.theory import Direction
 
@@ -485,6 +486,35 @@ def test_greedy_fast_path_matches_generic_pipeline(make):
             generic_theory.strictly_ranked = False
             generic = solve(bounded(generic_theory, depth_bound), config)
             assert fast == generic, (g, depth_bound)
+
+
+class FixedCountsWalk(KruskalSpanningTree):
+    """Kruskal on a 3-node path, with a walk that reports given move counts."""
+
+    def __init__(self, counts):
+        super().__init__(Graph(3, ((0, 1, 1), (1, 2, 2))))
+        self.counts = counts
+
+    def greedy_walk(self):
+        return list(self.counts), TreeDescriptor((0, 1))
+
+
+@pytest.mark.parametrize("counts, rows, pruned", [
+    ([3, 2, 0], ((3, 1), (2, 1), (0, 0)), 3),
+    ([3, 2], ((3, 1), (2, 1)), 3),
+    ([0], ((0, 0),), 0),
+    ([], (), 0),
+])
+def test_walk_books_one_survivor_per_level_but_none_at_a_final_empty_level(
+    counts, rows, pruned
+):
+    result = solve(FixedCountsWalk(counts))
+    stats = result.stats
+    assert stats.per_level_width == rows and stats.levels == len(rows)
+    assert stats.generated == sum(counts) and stats.dominated_pruned == pruned
+    assert stats.duplicates_removed == stats.equivalence_merged == 0
+    assert stats.locals_found == 1 and result.optimal_cost == 3
+    assert_stats_ledger(stats)
 
 
 def counting_key(theory):

@@ -77,6 +77,14 @@ def test_sssp_matches_reference_distances():
     assert tree_distances(g, tree, 0) == shortest_path_ref(g, 0)
 
 
+def test_tree_distances_hold_only_the_sources_component():
+    # Edge 2 joins nodes 3 and 4, which no edge of the set joins to node 0;
+    # with edge 2 alone no edge touches the source.
+    g = Graph(5, ((0, 1, 2), (1, 2, 3), (3, 4, 1), (2, 3, 4)))
+    assert tree_distances(g, (0, 1, 2), 0) == {0: 0, 1: 2, 2: 5}
+    assert tree_distances(g, (2,), 0) == {0: 0}
+
+
 def test_sssp_cost_recomputes_independently(triangle):
     th = ShortestPathTree(triangle, 0)
     assert th.cost(frozenset((0, 1))) == 3
@@ -361,6 +369,14 @@ def test_greedy_walk_matches_default_walk_at_scale(problem):
         result = solve(fast, GREEDY)
         assert result == solve(default, GREEDY)
         assert result.stats.levels == n - 1
+
+
+@pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
+def test_one_theory_walks_the_same_every_time(problem):
+    # The walks read tables each theory builds once; none may consume them.
+    th = walk_variants(problem, gen_graph(60, 0.2, 50, 2))[0]
+    assert solve(th, GREEDY) == solve(th, GREEDY)
+    assert th.greedy_walk() == th.greedy_walk()
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
