@@ -302,12 +302,8 @@ def solve(theory: ProblemTheory, config: EngineConfig | None = None) -> SolveRes
 
     if theory.strictly_ranked:
         counts, last = theory.greedy_walk()
-        # One survivor per level, but none at the empty level that ends a walk.
-        kept = [1] * len(counts)
-        if counts and not counts[-1]:
-            kept[-1] = 0
-        rows = list(zip(counts, kept))
-        pruned = sum(counts) - sum(kept)
+        rows = [(n_moves, min(n_moves, 1)) for n_moves in counts]
+        pruned = sum(raw - undom for raw, undom in rows)
         found = collect_locals(theory, [last])
 
     else:

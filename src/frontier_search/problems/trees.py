@@ -46,7 +46,9 @@ Kruskal's tries the edges in ``(weight, edge index)`` order and keeps a
 component label per node, relabelling the smaller component on each merge
 (the weighted-union heuristic).  That order, which Python's stable sort
 gives from the weights alone, and each node's far edge ends depend on the
-graph alone, so the theory builds both once and every walk only reads them.
+graph alone, so the theory builds both once and every walk only reads them:
+a theory solved more than once saves the build on each later solve, and one
+solved once pays it at construction in place of its walk.
 Both keep the level's move count up to date and return every level's count
 with the last descriptor, the only one they build.  The walks pick the same
 child and count the same moves as ``child_moves`` at every level, so optima
