@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 class GraphValidationError(ValueError):
@@ -44,19 +45,28 @@ class Graph:
         return len(self.edges)
 
 
-def adjacency(g: Graph) -> list[list[tuple[int, int, int]]]:
+Adjacency = list[list[tuple[int, int, int]]]
+
+
+def adjacency(g: Graph) -> Adjacency:
     """Per-node incidence lists of ``(edge_index, other_endpoint, weight)``."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    adj: Adjacency = [[] for _ in range(g.n)]
     for i, (a, b, w) in enumerate(g.edges):
         adj[a].append((i, b, w))
         adj[b].append((i, a, w))
     return adj
 
 
-def is_connected(g: Graph) -> bool:
+def is_connected(g: Graph, adj: Optional[Adjacency] = None) -> bool:
+    """Whether every node reaches node 0.
+
+    ``adj`` is ``adjacency(g)`` when the caller already holds it; it is
+    built here otherwise.
+    """
     if g.n == 1:
         return True
-    adj = adjacency(g)
+    if adj is None:
+        adj = adjacency(g)
     seen = {0}
     stack = [0]
     while stack:
@@ -68,6 +78,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def require_connected(g: Graph) -> None:
-    if not is_connected(g):
+def require_connected(g: Graph, adj: Optional[Adjacency] = None) -> None:
+    if not is_connected(g, adj):
         raise GraphDisconnected("input graph is not connected")

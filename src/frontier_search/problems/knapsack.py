@@ -23,15 +23,26 @@ dominator's bound is at least the bound of what it dominates, and equal keys
 have equal bounds, so each level keeps exactly the unbounded search's
 survivors that the bound admits, and every optimum among them.  Because the
 levels decide items in the order the greedy fill and the bound take them,
-the undecided items are a suffix of that order: the bound scans them from
-the current level on, and tightens with every level decided.
+the undecided items are a suffix of that order, and the bound's fill is a
+run of it up to a break item: the first that no longer fits whole.
+Prefix sums of the order's weights and utilities, built once per theory,
+find that item by bisection and the run's utility by one subtraction.
+Only the out-child is tested.  Taking item k whole is the first step of its
+parent's own fill from level k, so the in-child's bound is its parent's:
+it reaches whenever the parent's does, and ``split`` keeps it whenever it
+fits.  That rule relies on the parent's bound reaching, which holds for
+every member derived from ``initial()``, as ``solve`` and
+``oracles.brute_force`` derive theirs: the root reaches, as the greedy fill
+is a feasible utility and so at most the floored bound, and every other
+member passed its parent's test or inherited its bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from itertools import islice
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
@@ -114,6 +125,15 @@ class Knapsack(ProblemTheory):
                 total += u
         return total
 
+    @cached_property
+    def _sums(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Prefix sums of ``decided``: the weight and the utility of its
+        first j pairs at index j, from 0 at index 0 to the totals at n."""
+        return (
+            tuple(accumulate((w for w, _ in self.decided), initial=0)),
+            tuple(accumulate((u for _, u in self.decided), initial=0)),
+        )
+
     def _reaches(self, level: int, room: int, utility: int) -> bool:
         """Whether ``utility`` plus the floored Dantzig bound over the items
         still undecided at ``level`` (``decided[level:]``) within ``room`` is
@@ -121,14 +141,16 @@ class Knapsack(ProblemTheory):
         need = self.incumbent - utility
         if need <= 0:
             return True
-        for w, u in islice(self.decided, level, None):
-            if w > room:
-                return u * room // w >= need
-            room -= w
-            need -= u
-            if need <= 0:
-                return True
-        return False
+        weights, utilities = self._sums
+        # ``decided[level:j]`` fit whole within ``room``; item j, if any, is
+        # the break item, and it is not weightless, as it does not fit.
+        top = weights[level] + room
+        j = bisect_right(weights, top, level) - 1
+        total = utilities[j] - utilities[level]
+        if j == self.n:
+            return total >= need
+        w, u = self.decided[j]
+        return total + u * (top - weights[j]) // w >= need
 
     def child_moves(self, y: KnapsackDescriptor) -> list[tuple[int, int]]:
         # The moves ``split`` keeps, read off its children.
@@ -142,7 +164,9 @@ class Knapsack(ProblemTheory):
         return KnapsackDescriptor(serial + (0,), weight, utility)
 
     def split(self, y: KnapsackDescriptor) -> list[KnapsackDescriptor]:
-        # Out before in, each kept only if its child can reach the incumbent.
+        # Out before in.  The out-child is kept only if it can reach the
+        # incumbent; the in-child whenever it fits, as its bound is ``y``'s
+        # (see the module docstring).
         serial, weight, utility = y
         k = len(serial)
         if k == self.n:
@@ -154,7 +178,7 @@ class Knapsack(ProblemTheory):
             children.append(
                 tuple.__new__(KnapsackDescriptor, (serial + (0,), weight, utility))
             )
-        if w <= room and self._reaches(k + 1, room - w, utility + u):
+        if w <= room:
             children.append(
                 tuple.__new__(
                     KnapsackDescriptor, (serial + (1,), weight + w, utility + u)

@@ -65,7 +65,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
-from .graphs import Graph, InvalidNode, adjacency, require_connected
+from .graphs import Adjacency, Graph, InvalidNode, adjacency, require_connected
 
 
 class TreeDescriptor(NamedTuple):
@@ -144,8 +144,10 @@ class _SpanningTreeTheory(ProblemTheory):
     direction = Direction.MINIMIZE
     strictly_ranked = True
 
-    def __init__(self, graph: Graph):
-        require_connected(graph)
+    def __init__(self, graph: Graph, adj: Optional[Adjacency] = None):
+        # A theory that keeps ``adjacency(graph)`` passes it, and the
+        # connectivity check reads it rather than build another.
+        require_connected(graph, adj)
         self.graph = graph
 
     def initial(self) -> TreeDescriptor:
@@ -204,9 +206,9 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
     def __init__(self, graph: Graph, root: int):
         if not 0 <= root < graph.n:
             raise InvalidNode(f"root {root} out of range")
-        super().__init__(graph)
-        self.root = root
         self._adj = adjacency(graph)
+        super().__init__(graph, self._adj)
+        self.root = root
 
     @staticmethod
     def _label(cost: int) -> int:

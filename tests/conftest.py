@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 from functools import cached_property
+from itertools import islice
 
 import pytest
 from hypothesis import strategies as st
@@ -32,6 +33,45 @@ class FullKnapsack(Knapsack):
     # off it, so this class needs both: with the default ``split`` and the
     # inherited ``child_moves``, each would call the other without end.
     split = ProblemTheory.split
+
+
+def scan_reaches(theory: Knapsack, level: int, room: int, utility: int) -> bool:
+    """``Knapsack._reaches`` by a linear scan to the break item.
+
+    The reference the bisected bound is tested against: take the undecided
+    items in ratio order while they fit whole, then the fitting fraction of
+    the first that does not.
+    """
+    need = theory.incumbent - utility
+    if need <= 0:
+        return True
+    for w, u in islice(theory.decided, level, None):
+        if w > room:
+            return u * room // w >= need
+        room -= w
+        need -= u
+        if need <= 0:
+            return True
+    return False
+
+
+def assert_bound_is_the_scan(theory: Knapsack) -> None:
+    """``_reaches`` equals ``scan_reaches`` on every level, room up to the
+    capacity and utility up to one past the incumbent; the root reaches; and
+    wherever a member reaches and its level's item fits, the in-child that
+    takes the item reaches too, which is why ``split`` keeps it untested."""
+    assert theory._reaches(0, theory.capacity, 0)
+    for level in range(theory.n + 1):
+        for room in range(theory.capacity + 1):
+            for utility in range(theory.incumbent + 2):
+                reaches = theory._reaches(level, room, utility)
+                assert reaches == scan_reaches(theory, level, room, utility), (
+                    level, room, utility
+                )
+                if reaches and level < theory.n:
+                    w, u = theory.decided[level]
+                    if w <= room:
+                        assert theory._reaches(level + 1, room - w, utility + u)
 
 
 class FullPath(SinglePairShortestPath):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import FullKnapsack, assert_stats_ledger
+from conftest import FullKnapsack, assert_bound_is_the_scan, assert_stats_ledger
 
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_knapsack
@@ -160,6 +160,27 @@ def test_levels_decide_items_in_ratio_order():
     y = prefix(th, (1, 0, 0, 1, 1))
     assert (y.weight, y.utility) == (2, 9)
     assert th.extract(y) == frozenset((2, 4, 0))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        KnapsackInstance(0, ()),
+        KnapsackInstance(7, ()),
+        KnapsackInstance(0, ((0, 2), (1, 5), (0, 0), (3, 3))),
+        # Zero weights, an item heavier than the capacity, equal ratios.
+        KnapsackInstance(10, ((0, 3), (4, 8), (2, 4), (11, 30), (3, 3), (0, 0))),
+        KnapsackInstance(10, ((2, 2), (4, 4), (3, 3), (5, 5), (1, 1))),
+        KnapsackInstance(9, ((10, 40), (3, 6), (3, 6), (0, 1), (4, 7))),
+        KnapsackInstance(5, ((2, 3), (3, 4), (4, 5))),
+    ],
+)
+def test_bisected_bound_is_the_linear_scan(inst):
+    th = Knapsack(inst)
+    assert_bound_is_the_scan(th)
+    bounded_run, full_run = solve(th), solve(FullKnapsack(inst))
+    assert bounded_run.optima == full_run.optima
+    assert bounded_run.optimal_cost == full_run.optimal_cost
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

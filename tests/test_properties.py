@@ -32,6 +32,7 @@ from conftest import (
     FullKnapsack,
     FullPath,
     IncumbentPath,
+    assert_bound_is_the_scan,
     assert_key_matches_dominates,
     assert_stats_ledger,
     enumerate_levels,
@@ -655,6 +656,11 @@ def test_bounded_knapsack_levels_are_the_full_levels_the_bound_admits():
                 for y in full_frontier
                 if th._reaches(len(y.serial), th.capacity - y.weight, y.utility)
             ]
+
+
+def test_bisected_knapsack_bound_is_the_linear_scan_on_property_pools():
+    for th in preorder_pools()["knapsack"] + knapsack_theories(12):
+        assert_bound_is_the_scan(th)
 
 
 def test_bounded_knapsack_equals_full_knapsack_on_property_pools():
