@@ -37,17 +37,23 @@ holds before the search starts, from one breadth-first search from the
 source, O(n + m).  That search keeps a swept cost per node: a node starts at
 the cost it is discovered at, and each node, in breadth-first order, lowers
 the swept cost of every neighbour through its own, one in-order pass of
-Bellman's relaxation (Bellman 1958).  The incumbent is the target's swept
-cost.  A swept cost is set only at discovery or when it strictly falls,
-each time from the node u being swept, with the cost u holds then, which
-was set before u was swept.  So following the sources of a node's cost
-walks back to the source through nodes swept in strictly decreasing order,
-all distinct.  The node is not among them either: its cost would then be
-an earlier cost of its own plus a cycle of weight >= 0, no lower, yet each
-change after discovery lowers it strictly.  So every swept cost is the cost
-of a simple path, and by induction in breadth-first order it is at most the
-node's cheapest fewest-edge path.  One pass does not follow an edge back to
-a node swept earlier, so the incumbent can still lie above the optimum.
+Bellman's relaxation (Bellman 1958; Moore 1959).  A second pass over the
+same order lowers them again; it reaches no new node.  The incumbent is the
+target's swept cost.  A swept cost is set only at discovery or when it
+strictly falls, each time from a node u with the cost u holds then, which
+was set earlier.  So following the sources of a node's cost back in time
+walks back to the source, and the walk costs the node's swept cost.  It
+visits no node x twice: x's later cost would then be its earlier cost plus
+a closed walk of weight >= 0, no lower, yet x's costs never rise and the
+later one was set strictly below the cost x held then.  So every swept cost
+is the cost of a simple path, whatever the number of passes, and it is at
+most the node's cheapest fewest-edge path, which the first pass reaches by
+induction in breadth-first order.  After p passes a node's swept cost is at
+most the cost of every path to it whose nodes fall into at most p runs that
+ascend in breadth-first order; a cheaper path that steps back against the
+order twice or more can still leave the incumbent above the optimum.  The
+passes stop at two: run to a fixpoint they are Bellman-Ford, O(nm), and
+would hand the search Dijkstra's answer before it starts.
 
 A lower bound h on the rest of the way is 0 at the target and, at any other
 node, the lightest edge at the target, which every route there ends with.
@@ -121,17 +127,23 @@ class SinglePairShortestPath(ProblemTheory):
     def _swept(self) -> list[int]:
         """Per node, its swept cost, -1 if the node is unreached.  Each node,
         in breadth-first order, lowers the swept cost of every neighbour
-        through its own."""
+        through its own; a second pass over the same order does it again."""
         swept = [-1] * self.graph.n
         swept[self.source] = 0
         order = [self.source]
+        adj = self._adj
         for u in order:
             su = swept[u]
-            for _, v, w in self._adj[u]:
+            for _, v, w in adj[u]:
                 if swept[v] < 0:
                     swept[v] = su + w
                     order.append(v)
                 elif su + w < swept[v]:
+                    swept[v] = su + w
+        for u in order:
+            su = swept[u]
+            for _, v, w in adj[u]:
+                if su + w < swept[v]:
                     swept[v] = su + w
         return swept
 

@@ -65,7 +65,13 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from ..theory import Direction, ProblemTheory
-from .graphs import Adjacency, Graph, InvalidNode, adjacency, require_connected
+from .graphs import (
+    Graph,
+    GraphDisconnected,
+    InvalidNode,
+    adjacency,
+    require_connected,
+)
 
 
 class TreeDescriptor(NamedTuple):
@@ -144,10 +150,9 @@ class _SpanningTreeTheory(ProblemTheory):
     direction = Direction.MINIMIZE
     strictly_ranked = True
 
-    def __init__(self, graph: Graph, adj: Optional[Adjacency] = None):
-        # A theory that keeps ``adjacency(graph)`` passes it, and the
-        # connectivity check reads it rather than build another.
-        require_connected(graph, adj)
+    def __init__(self, graph: Graph):
+        # Each theory checks that the graph is connected on the table it
+        # keeps, rather than build another.
         self.graph = graph
 
     def initial(self) -> TreeDescriptor:
@@ -207,7 +212,8 @@ class _TreeGrowthTheory(_SpanningTreeTheory):
         if not 0 <= root < graph.n:
             raise InvalidNode(f"root {root} out of range")
         self._adj = adjacency(graph)
-        super().__init__(graph, self._adj)
+        require_connected(graph, self._adj)
+        super().__init__(graph)
         self.root = root
 
     @staticmethod
@@ -336,6 +342,18 @@ class KruskalSpanningTree(_SpanningTreeTheory):
             far[a].append(b)
             far[b].append(a)
         self._far = tuple(map(tuple, far))
+        # Connected iff a depth-first search from node 0 over ``far``
+        # reaches every node.
+        seen = [False] * graph.n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for v in far[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        if not all(seen):
+            raise GraphDisconnected("input graph is not connected")
         weights = [w for _, _, w in edges]
         self._order = tuple(sorted(range(len(edges)), key=weights.__getitem__))
 

@@ -91,6 +91,26 @@ class FullPath(SinglePairShortestPath):
     split = ProblemTheory.split
 
 
+def one_pass_swept(theory: SinglePairShortestPath) -> list[int]:
+    """``SinglePairShortestPath._swept`` after its first sweep alone.
+
+    The reference the second sweep is tested against: each node, in
+    breadth-first order from the source, lowers the cost of every neighbour
+    through its own, and a neighbour not yet reached starts at that cost.
+    """
+    swept = [-1] * theory.graph.n
+    swept[theory.source] = 0
+    order = [theory.source]
+    for u in order:
+        for _, v, w in theory._adj[u]:
+            if swept[v] < 0:
+                order.append(v)
+                swept[v] = swept[u] + w
+            else:
+                swept[v] = min(swept[v], swept[u] + w)
+    return swept
+
+
 class IncumbentPath(SinglePairShortestPath):
     """Single-pair shortest path bounded by the incumbent alone, the same
     swept cost as ``SinglePairShortestPath``'s: no other node's limit is cut

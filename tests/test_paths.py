@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FullPath, IncumbentPath, assert_stats_ledger, multigraphs
+from conftest import (
+    FullPath,
+    IncumbentPath,
+    assert_stats_ledger,
+    multigraphs,
+    one_pass_swept,
+)
 
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
 from frontier_search.cli import gen_graph
@@ -38,17 +44,37 @@ def test_incumbent_sweeps_below_the_fewest_edge_price(triangle):
     assert th.incumbent == 2
 
 
-def test_incumbent_misses_a_back_edge_but_solve_does_not():
+def test_second_sweep_follows_a_back_edge():
     # Node 2 is swept after node 1, so it lowers node 1 to 2 too late for the
-    # one sweep to carry that on to node 3: the incumbent stays the
-    # fewest-edge cost 11, while the optimum 0-2-1-3 costs 3.
+    # first sweep to carry that on to node 3, which it leaves at the
+    # fewest-edge cost 11 (``one_pass_swept``).  The second sweep carries it
+    # on: the incumbent is the optimum 0-2-1-3, of cost 3.
     g = Graph(4, ((0, 1, 10), (0, 2, 1), (1, 2, 1), (1, 3, 1)))
     th = theory(g, 0, 3)
-    assert th._swept == [0, 2, 1, 11]
-    assert th.incumbent == 11
+    assert one_pass_swept(th) == [0, 2, 1, 11]
+    assert th._swept == [0, 2, 1, 3]
+    assert th.incumbent == 3
     result = solve(th)
     assert result.optimal_cost == 3
     assert result.optima == {(1, 2, 3)}
+
+
+def test_incumbent_misses_a_back_edge_but_solve_does_not():
+    # The optimum 0-3-2-1-4 steps back against the breadth-first order
+    # 0, 1, 2, 3, 4 twice.  The first sweep lowers node 2 to 2 through node
+    # 3, the second lowers node 1 to 3 through node 2, and neither carries
+    # node 1's cost on to node 4: the incumbent stays the fewest-edge cost 11,
+    # while the optimum costs 4.  The swept cut still builds only the edge to
+    # node 3 from the source.
+    g = Graph(5, ((0, 1, 10), (0, 2, 10), (0, 3, 1), (2, 3, 1), (1, 2, 1), (1, 4, 1)))
+    th = theory(g, 0, 4)
+    assert one_pass_swept(th) == [0, 10, 2, 1, 11]
+    assert th._swept == [0, 3, 2, 1, 11]
+    assert th.incumbent == 11
+    assert [c.serial for c in th.split(th.initial())] == [(2,)]
+    result = solve(th)
+    assert result.optimal_cost == 4
+    assert result.optima == {(2, 3, 4, 5)}
 
 
 def test_swept_cut_skips_a_child_within_the_incumbent_bound():

@@ -37,6 +37,7 @@ from conftest import (
     assert_stats_ledger,
     enumerate_levels,
     multigraphs,
+    one_pass_swept,
     sibling_families,
 )
 
@@ -786,6 +787,24 @@ def test_spsp_bound_edge_cases():
     assert zero.incumbent == 0
     assert solve(zero).optima == solve(FullPath(ZERO_AT_TARGET, 0, 3)).optima
     assert solve(zero).optima == {(4,), (0, 1)}
+
+
+def test_second_sweep_lies_between_dijkstra_and_the_first():
+    # The second sweep only lowers swept costs, never below Dijkstra's
+    # distance, and reaches the nodes the first reaches; on these pools it
+    # lowers some.
+    graphs = [gen_graph(100, 0.2, 1000, seed) for seed in (1, 2, 3)]
+    pool = spsp_bound_pool() + [SinglePairShortestPath(g, 0, 99) for g in graphs]
+    lowered = 0
+    for th in pool:
+        dist, first = distances(th.graph, th.source), one_pass_swept(th)
+        for v, swept in enumerate(th._swept):
+            if v in dist:
+                assert dist[v] <= swept <= first[v], (th.graph, v)
+                lowered += swept < first[v]
+            else:
+                assert swept == first[v] == -1
+    assert lowered
 
 
 def test_bounded_spsp_levels_are_the_full_levels_the_bound_admits():
