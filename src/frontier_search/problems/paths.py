@@ -38,22 +38,24 @@ source, O(n + m).  That search keeps a swept cost per node: a node starts at
 the cost it is discovered at, and each node, in breadth-first order, lowers
 the swept cost of every neighbour through its own, one in-order pass of
 Bellman's relaxation (Bellman 1958; Moore 1959).  A second pass over the
-same order lowers them again; it reaches no new node.  The incumbent is the
-target's swept cost.  A swept cost is set only at discovery or when it
-strictly falls, each time from a node u with the cost u holds then, which
-was set earlier.  So following the sources of a node's cost back in time
-walks back to the source, and the walk costs the node's swept cost.  It
-visits no node x twice: x's later cost would then be its earlier cost plus
-a closed walk of weight >= 0, no lower, yet x's costs never rise and the
-later one was set strictly below the cost x held then.  So every swept cost
-is the cost of a simple path, whatever the number of passes, and it is at
-most the node's cheapest fewest-edge path, which the first pass reaches by
-induction in breadth-first order.  After p passes a node's swept cost is at
-most the cost of every path to it whose nodes fall into at most p runs that
-ascend in breadth-first order; a cheaper path that steps back against the
-order twice or more can still leave the incumbent above the optimum.  The
-passes stop at two: run to a fixpoint they are Bellman-Ford, O(nm), and
-would hand the search Dijkstra's answer before it starts.
+same order lowers them again; it reaches no new node, and it skips a node
+whose cost has not fallen since the first pass reached it, as such a node
+can lower nothing.  The incumbent is the target's swept cost.  A swept
+cost is set only at discovery or when it strictly falls, each time from a
+node u with the cost u holds then, which was set earlier.  So following the
+sources of a node's cost back in time walks back to the source, and the
+walk costs the node's swept cost.  It visits no node x twice: x's later
+cost would then be its earlier cost plus a closed walk of weight >= 0, no
+lower, yet x's costs never rise and the later one was set strictly below
+the cost x held then.  So every swept cost is the cost of a simple path,
+whatever the number of passes, and it is at most the node's cheapest
+fewest-edge path, which the first pass reaches by induction in
+breadth-first order.  After p passes a node's swept cost is at most the
+cost of every path to it whose nodes fall into at most p runs that ascend
+in breadth-first order; a cheaper path that steps back against the order
+twice or more can still leave the incumbent above the optimum.  The passes
+stop at two: run to a fixpoint they are Bellman-Ford, O(nm), and would hand
+the search Dijkstra's answer before it starts.
 
 A lower bound h on the rest of the way is 0 at the target and, at any other
 node, the lightest edge at the target, which every route there ends with.
@@ -75,6 +77,17 @@ distance to its own end node too.  Nothing cut ties or beats such a member,
 so each level keeps the same members of that cost in the same order as
 without the cut, and the optima stay the same.  The cut may change which
 costlier members a level keeps.
+
+``split`` reads a node's moves from a table the theory keeps per node: the
+node's adjacency entries ``(ei, other, w)`` with ``w <= limit(other)``, in
+the adjacency's edge-index order.  The table is exact: a path costs at
+least 0, so an entry that fails ``w <= limit(other)`` fails ``cost + w <=
+limit(other)`` for every path that ends at the node, and every move
+``split`` keeps is in the table, in the same canonical order.  The limits
+are the theory's own and never change once read, so neither does a table.
+A node's first split scans its adjacency and its second builds the table:
+a new theory solved once builds none for the many nodes it splits only
+once, and a theory solved again reads tables throughout.
 """
 
 from __future__ import annotations
@@ -109,6 +122,9 @@ class SinglePairShortestPath(ProblemTheory):
         self.source = source
         self.target = target
         self._adj = adjacency(graph)
+        # Per node: None until its first split, False after it, then its
+        # table of moves, built by its second split.
+        self._moves: list = [None] * graph.n
 
     def initial(self) -> PathDescriptor:
         return PathDescriptor((), self.source, 0)
@@ -127,24 +143,29 @@ class SinglePairShortestPath(ProblemTheory):
     def _swept(self) -> list[int]:
         """Per node, its swept cost, -1 if the node is unreached.  Each node,
         in breadth-first order, lowers the swept cost of every neighbour
-        through its own; a second pass over the same order does it again."""
+        through its own; a second pass over the same order does it again,
+        for the nodes whose cost has fallen since the first reached them."""
         swept = [-1] * self.graph.n
         swept[self.source] = 0
-        order = [self.source]
+        order, first = [self.source], []
         adj = self._adj
         for u in order:
             su = swept[u]
+            first.append(su)
             for _, v, w in adj[u]:
                 if swept[v] < 0:
                     swept[v] = su + w
                     order.append(v)
                 elif su + w < swept[v]:
                     swept[v] = su + w
-        for u in order:
+        # A node still at the cost it was swept with lowers nothing: every
+        # neighbour is already within that cost plus the edge.
+        for u, fu in zip(order, first):
             su = swept[u]
-            for _, v, w in adj[u]:
-                if su + w < swept[v]:
-                    swept[v] = su + w
+            if su < fu:
+                for _, v, w in adj[u]:
+                    if su + w < swept[v]:
+                        swept[v] = su + w
         return swept
 
     @cached_property
@@ -181,14 +202,26 @@ class SinglePairShortestPath(ProblemTheory):
         # within its limit; anything else could never become a feasible path
         # as cheap as the incumbent, or costs more than a simple path to that
         # node whose cost the theory holds.  ``adjacency`` lists them in
-        # increasing edge index, the canonical child order.  The visited set
-        # is derived once per parent.
+        # increasing edge index, the canonical child order, and the node's
+        # table keeps that order.  The visited set is derived once per
+        # parent, and only when some move is within its limit.
         serial, end, cost = y
-        visited, limits = self._nodes(y), self._limits
+        limits, moves = self._limits, self._moves[end]
+        if moves is None:
+            self._moves[end] = False
+            moves = self._adj[end]
+        elif moves is False:
+            moves = self._moves[end] = [
+                move for move in self._adj[end] if move[2] <= limits[move[1]]
+            ]
+        kept = [move for move in moves if cost + move[2] <= limits[move[1]]]
+        if not kept:
+            return kept
+        visited = self._nodes(y)
         return [
             tuple.__new__(PathDescriptor, (serial + (ei,), other, cost + w))
-            for ei, other, w in self._adj[end]
-            if cost + w <= limits[other] and other not in visited
+            for ei, other, w in kept
+            if other not in visited
         ]
 
     def extract(self, y: PathDescriptor) -> Optional[tuple[int, ...]]:

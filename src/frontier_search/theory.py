@@ -59,8 +59,10 @@ class ProblemTheory(ABC):
     """Operations instantiating the search theory for one problem instance.
 
     All methods are pure functions of their arguments; theories and
-    descriptors are immutable after construction.  The problem input itself
-    is bound at construction time and validated there.
+    descriptors are immutable after construction.  A theory may cache
+    tables derived from its input on first use, as a ``cached_property``
+    does, but a cache never changes a result.  The problem input itself is
+    bound at construction time and validated there.
     """
 
     #: Optimization sense used by the engine when comparing solution costs

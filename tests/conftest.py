@@ -9,7 +9,12 @@ from itertools import islice
 import pytest
 from hypothesis import strategies as st
 
-from frontier_search.problems import Graph, Knapsack, SinglePairShortestPath
+from frontier_search.problems import (
+    Graph,
+    Knapsack,
+    PathDescriptor,
+    SinglePairShortestPath,
+)
 from frontier_search.theory import ProblemTheory
 
 
@@ -91,13 +96,9 @@ class FullPath(SinglePairShortestPath):
     split = ProblemTheory.split
 
 
-def one_pass_swept(theory: SinglePairShortestPath) -> list[int]:
-    """``SinglePairShortestPath._swept`` after its first sweep alone.
-
-    The reference the second sweep is tested against: each node, in
-    breadth-first order from the source, lowers the cost of every neighbour
-    through its own, and a neighbour not yet reached starts at that cost.
-    """
+def first_sweep(theory: SinglePairShortestPath) -> tuple[list[int], list[int]]:
+    """The swept costs after the first sweep, and the breadth-first order
+    from the source in which it visits the nodes it reaches."""
     swept = [-1] * theory.graph.n
     swept[theory.source] = 0
     order = [theory.source]
@@ -108,7 +109,53 @@ def one_pass_swept(theory: SinglePairShortestPath) -> list[int]:
                 swept[v] = swept[u] + w
             else:
                 swept[v] = min(swept[v], swept[u] + w)
+    return swept, order
+
+
+def one_pass_swept(theory: SinglePairShortestPath) -> list[int]:
+    """``SinglePairShortestPath._swept`` after its first sweep alone.
+
+    The reference the second sweep is tested against: each node, in
+    breadth-first order from the source, lowers the cost of every neighbour
+    through its own, and a neighbour not yet reached starts at that cost.
+    """
+    return first_sweep(theory)[0]
+
+
+def two_pass_swept(theory: SinglePairShortestPath) -> list[int]:
+    """``SinglePairShortestPath._swept`` with its second sweep over every node.
+
+    The reference the skipping second sweep is tested against: after the
+    first sweep, each node in the same order lowers the cost of every
+    neighbour through its own once more, whether or not its cost fell.
+    """
+    swept, order = first_sweep(theory)
+    for u in order:
+        for _, v, w in theory._adj[u]:
+            swept[v] = min(swept[v], swept[u] + w)
     return swept
+
+
+def scan_split(theory: SinglePairShortestPath, y) -> list:
+    """``SinglePairShortestPath.split`` by a scan of the end node's whole
+    adjacency, with the visited set derived up front.
+
+    The reference the per-node move tables are tested against: every edge at
+    the end node to an unvisited node within its limit, in edge-index order.
+    """
+    visited, limits = theory._nodes(y), theory._limits
+    return [
+        PathDescriptor(y.serial + (ei,), other, y.cost + w)
+        for ei, other, w in theory._adj[y.end]
+        if y.cost + w <= limits[other] and other not in visited
+    ]
+
+
+class ScanPath(SinglePairShortestPath):
+    """Single-pair shortest path whose every split is ``scan_split``: the
+    same search with no move tables, so no state shared between splits."""
+
+    split = scan_split
 
 
 class IncumbentPath(SinglePairShortestPath):

@@ -8,6 +8,7 @@ from conftest import (
     assert_stats_ledger,
     multigraphs,
     one_pass_swept,
+    two_pass_swept,
 )
 
 from frontier_search import EngineConfig, Mode, GreedyViolation, solve
@@ -40,7 +41,7 @@ def test_incumbent_sweeps_below_the_fewest_edge_price(triangle):
     # The source discovers node 2 along the direct edge at 3, its fewest-edge
     # cost; node 1 then lowers it through the detour.
     th = theory(triangle)
-    assert th._swept == [0, 1, 2]
+    assert th._swept == two_pass_swept(th) == [0, 1, 2]
     assert th.incumbent == 2
 
 
@@ -52,7 +53,7 @@ def test_second_sweep_follows_a_back_edge():
     g = Graph(4, ((0, 1, 10), (0, 2, 1), (1, 2, 1), (1, 3, 1)))
     th = theory(g, 0, 3)
     assert one_pass_swept(th) == [0, 2, 1, 11]
-    assert th._swept == [0, 2, 1, 3]
+    assert th._swept == two_pass_swept(th) == [0, 2, 1, 3]
     assert th.incumbent == 3
     result = solve(th)
     assert result.optimal_cost == 3
@@ -69,12 +70,30 @@ def test_incumbent_misses_a_back_edge_but_solve_does_not():
     g = Graph(5, ((0, 1, 10), (0, 2, 10), (0, 3, 1), (2, 3, 1), (1, 2, 1), (1, 4, 1)))
     th = theory(g, 0, 4)
     assert one_pass_swept(th) == [0, 10, 2, 1, 11]
-    assert th._swept == [0, 3, 2, 1, 11]
+    assert th._swept == two_pass_swept(th) == [0, 3, 2, 1, 11]
     assert th.incumbent == 11
     assert [c.serial for c in th.split(th.initial())] == [(2,)]
     result = solve(th)
     assert result.optimal_cost == 4
     assert result.optima == {(2, 3, 4, 5)}
+
+
+def test_move_tables_drop_the_heavier_parallel_edge():
+    # 0-4-1 reaches node 1 over the zero-weight edge 2 at 0-1's cost, so
+    # nodes 1, 2 and 4 are split twice and build their tables.  The heavier
+    # of the parallel edges 3 and 4 between nodes 1 and 2 weighs more than
+    # either node's limit, so neither table keeps it; the zero-weight edge
+    # stays.  The source is split once and keeps no table.
+    g = Graph(5, ((0, 1, 2), (0, 4, 2), (4, 1, 0), (1, 2, 5), (1, 2, 1), (2, 3, 1)))
+    th = theory(g, 0, 3)
+    assert th._limits == [0, 2, 3, 4, 2]
+    result = solve(th)
+    assert th._moves == [
+        False, [(2, 4, 0), (4, 2, 1)], [(4, 1, 1), (5, 3, 1)], [(5, 2, 1)], [(2, 1, 0)]
+    ]
+    assert result.optimal_cost == 4
+    assert result.optima == {(0, 4, 5), (1, 2, 4, 5)}
+    assert solve(th) == result
 
 
 def test_swept_cut_skips_a_child_within_the_incumbent_bound():
@@ -83,7 +102,7 @@ def test_swept_cut_skips_a_child_within_the_incumbent_bound():
     # fewest-edge cost, but above its swept cost of 2, so it is never built.
     g = Graph(5, ((0, 1, 1), (1, 2, 1), (0, 2, 3), (2, 4, 20), (4, 3, 0)))
     th, ref = theory(g, 0, 3), IncumbentPath(g, 0, 3)
-    assert th._swept == [0, 1, 2, 22, 22]
+    assert th._swept == two_pass_swept(th) == [0, 1, 2, 22, 22]
     assert [c.serial for c in th.split(th.initial())] == [(0,)]
     assert [c.serial for c in ref.split(ref.initial())] == [(0,), (2,)]
     cut, uncut = solve(th), solve(ref)

@@ -32,13 +32,16 @@ from conftest import (
     FullKnapsack,
     FullPath,
     IncumbentPath,
+    ScanPath,
     assert_bound_is_the_scan,
     assert_key_matches_dominates,
     assert_stats_ledger,
     enumerate_levels,
     multigraphs,
     one_pass_swept,
+    scan_split,
     sibling_families,
+    two_pass_swept,
 )
 
 from frontier_search import IdentityDominance, solve
@@ -792,11 +795,13 @@ def test_spsp_bound_edge_cases():
 def test_second_sweep_lies_between_dijkstra_and_the_first():
     # The second sweep only lowers swept costs, never below Dijkstra's
     # distance, and reaches the nodes the first reaches; on these pools it
-    # lowers some.
+    # lowers some.  Skipping the nodes whose cost has not fallen leaves the
+    # costs of the second sweep over every node.
     graphs = [gen_graph(100, 0.2, 1000, seed) for seed in (1, 2, 3)]
     pool = spsp_bound_pool() + [SinglePairShortestPath(g, 0, 99) for g in graphs]
     lowered = 0
     for th in pool:
+        assert th._swept == two_pass_swept(th), th.graph
         dist, first = distances(th.graph, th.source), one_pass_swept(th)
         for v, swept in enumerate(th._swept):
             if v in dist:
@@ -805,6 +810,51 @@ def test_second_sweep_lies_between_dijkstra_and_the_first():
             else:
                 assert swept == first[v] == -1
     assert lowered
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_second_sweep_skips_only_nodes_that_lower_nothing(g, data):
+    # Skipping a node whose cost has not fallen since the first sweep reached
+    # it leaves every swept cost as the second sweep over every node sets it.
+    th = SinglePairShortestPath(g, data.draw(st.integers(0, g.n - 1)), 0)
+    assert th._swept == two_pass_swept(th)
+
+
+def assert_split_is_the_scan(g, source, target):
+    # Every simple path from the source, split three times by a new theory:
+    # the first split of a node scans its adjacency, the second builds its
+    # move table and the third reads it.  Each equals the full scan.
+    paths = enumerate_levels(FullPath(g, source, target))
+    for th in (SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)):
+        for layer in paths:
+            for y in layer:
+                for _ in range(3):
+                    assert th.split(y) == scan_split(th, y), (g, type(th), y)
+
+
+def test_split_is_the_full_scan_on_property_pools():
+    for th in spsp_bound_pool():
+        assert_split_is_the_scan(th.graph, th.source, th.target)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_split_is_the_full_scan(g, data):
+    assert_split_is_the_scan(g, 0, data.draw(st.integers(0, g.n - 1)))
+
+
+def test_spsp_theories_on_one_graph_keep_their_own_move_tables():
+    # Two targets give two sets of limits, and so two sets of tables.  Solved
+    # in turn, again and again, each theory returns the result of its search
+    # without tables.
+    graphs = [gen_graph(100, 0.2, 1000, seed) for seed in (1, 2, 3)]
+    for g in graphs + [th.graph for th in spsp_bound_pool()]:
+        targets = (g.n - 1, g.n // 2)
+        solo = [solve(ScanPath(g, 0, t)) for t in targets]
+        pair = [SinglePairShortestPath(g, 0, t) for t in targets]
+        for _ in range(3):
+            assert [solve(th) for th in pair] == solo, g
 
 
 def test_bounded_spsp_levels_are_the_full_levels_the_bound_admits():
