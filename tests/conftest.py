@@ -15,6 +15,7 @@ from frontier_search.problems import (
     PathDescriptor,
     SinglePairShortestPath,
 )
+from frontier_search.problems.knapsack import FORCED_FILLS
 from frontier_search.theory import ProblemTheory
 
 
@@ -38,6 +39,56 @@ class FullKnapsack(Knapsack):
     # off it, so this class needs both: with the default ``split`` and the
     # inherited ``child_moves``, each would call the other without end.
     split = ProblemTheory.split
+
+
+def scan_fill(pairs, room: int) -> int:
+    """Utility of taking each ``(weight, utility)`` pair in turn that still
+    fits in ``room``."""
+    total = 0
+    for w, u in pairs:
+        if w <= room:
+            room -= w
+            total += u
+    return total
+
+
+def forced_fill_incumbent(theory: Knapsack) -> int:
+    """``Knapsack.incumbent`` by plain scans, with no bisection, bound or
+    guard.
+
+    The reference the forced fills are tested against: the best of the
+    greedy fill and, at each position p within ``FORCED_FILLS`` of the break
+    item b, the greedy fill with item p skipped (p < b) or taken first
+    (p >= b).
+    """
+    pairs, capacity = theory.decided, theory.capacity
+    room, b = capacity, len(pairs)
+    for k, (w, _) in enumerate(pairs):
+        if w > room:
+            b = k
+            break
+        room -= w
+    best = scan_fill(pairs, capacity)
+    for p in range(max(0, b - FORCED_FILLS), min(len(pairs), b + FORCED_FILLS)):
+        (w, u), rest = pairs[p], pairs[:p] + pairs[p + 1:]
+        if p < b:
+            best = max(best, scan_fill(rest, capacity))
+        elif w <= capacity:
+            best = max(best, u + scan_fill(rest, capacity - w))
+    return best
+
+
+class GreedyIncumbentKnapsack(Knapsack):
+    """Knapsack whose bound prunes against the greedy fill alone, with no
+    forced fills around the break item.
+
+    The reference the forced fills are tested against: the same search under
+    a lower incumbent, which must find the same optima with no less work.
+    """
+
+    @cached_property
+    def incumbent(self) -> int:
+        return self.greedy_fill
 
 
 def scan_reaches(theory: Knapsack, level: int, room: int, utility: int) -> bool:

@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import FullKnapsack, assert_bound_is_the_scan, assert_stats_ledger
+from conftest import (
+    FullKnapsack,
+    GreedyIncumbentKnapsack,
+    assert_bound_is_the_scan,
+    assert_stats_ledger,
+    forced_fill_incumbent,
+)
 
 from frontier_search import IdentityDominance, solve
 from frontier_search.cli import gen_knapsack
@@ -150,7 +156,78 @@ def test_incumbent_is_the_greedy_fill_in_ratio_order():
     # The fill skips item 3 (weight 6 of 5 left) and goes on.
     th = Knapsack(KnapsackInstance(6, ((1, 1), (1, 3), (0, 6), (6, 12), (1, 2))))
     assert th._ratio_order == (2, 1, 3, 4, 0)
-    assert th.incumbent == 6 + 3 + 2 + 1
+    assert th.greedy_fill == 6 + 3 + 2 + 1
+
+
+def test_incumbent_is_the_optimum_where_the_greedy_fill_is_not():
+    # On the instance above the greedy fill breaks at item 3 and ends at 12.
+    # Skipping item 1, or taking item 3 first, reaches the optimum 6 + 12.
+    inst = KnapsackInstance(6, ((1, 1), (1, 3), (0, 6), (6, 12), (1, 2)))
+    th = Knapsack(inst)
+    assert th.greedy_fill == 12
+    assert th.incumbent == 18 == knapsack_dp_ref(inst)
+
+
+def test_incumbent_skips_an_item_before_the_break_item():
+    # Ratio order (1, 2), (2, 3), (4, 3): the greedy fill takes the first
+    # two and breaks at (4, 3), 5 in all.  Taking (4, 3) first leaves room
+    # for (1, 2) alone, 5 again.  Only the fill that skips (1, 2) reaches
+    # the optimum 3 + 3.
+    inst = KnapsackInstance(6, ((4, 3), (1, 2), (2, 3)))
+    th = Knapsack(inst)
+    assert th.greedy_fill == 5
+    assert th.incumbent == 6 == knapsack_dp_ref(inst)
+
+
+def test_incumbent_takes_an_item_after_the_break_item():
+    # Ratio order (5, 10), (6, 11), (3, 5), (5, 8): the greedy fill takes
+    # (5, 10), breaks at (6, 11) and adds (3, 5), 15 in all.  Only the fill
+    # that takes (5, 8) first, and then (5, 10), reaches the optimum 18.
+    inst = KnapsackInstance(10, ((3, 5), (5, 8), (5, 10), (6, 11)))
+    th = Knapsack(inst)
+    assert th.greedy_fill == 15
+    assert th.incumbent == 18 == knapsack_dp_ref(inst)
+
+
+@pytest.mark.parametrize("utility, fills", [(1, 0), (3, 2)])
+def test_guard_skips_the_forced_fills_when_the_greedy_fill_meets_the_bound(
+    monkeypatch, utility, fills
+):
+    # The greedy fill takes (4, 8) and (3, 5), 13 in all, and leaves room 1
+    # for the break item (2, utility).  At utility 1 the floored Dantzig
+    # bound is 13 too, so the greedy fill is optimal and no forced fill
+    # runs.  At utility 3 the bound is 14, and the two window positions
+    # whose gap to the break item's ratio leaves it above 13 are filled.
+    inst = KnapsackInstance(8, ((3, 5), (2, utility), (4, 8)))
+    th = Knapsack(inst)
+    calls = []
+    fill = Knapsack._fill
+    monkeypatch.setattr(
+        Knapsack, "_fill", lambda self, *a: calls.append(a) or fill(self, *a)
+    )
+    assert th.incumbent == th.greedy_fill == 13 == knapsack_dp_ref(inst)
+    assert len(calls) == 1 + fills  # the greedy fill's own, and the forced
+
+
+@pytest.mark.parametrize("items", [30, 200, 1000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_forced_fills_keep_the_optima_with_no_more_work(items, seed):
+    inst = gen_knapsack(items, None, 100, 100, seed)
+    th, greedy = Knapsack(inst), GreedyIncumbentKnapsack(inst)
+    run, greedy_run = solve(th), solve(greedy)
+    assert run.optima == greedy_run.optima
+    assert run.optimal_cost == greedy_run.optimal_cost
+    assert run.stats.generated <= greedy_run.stats.generated
+    assert greedy.incumbent <= th.incumbent <= run.optimal_cost
+    assert th.incumbent == forced_fill_incumbent(th)
+
+
+@pytest.mark.parametrize("items", [30, 100])
+def test_incumbent_is_the_plain_forced_fills_on_many_instances(items):
+    # Every window position's fill, unpruned, over 300 seeds per size.
+    for seed in range(300):
+        th = Knapsack(gen_knapsack(items, None, 100, 100, seed))
+        assert th.incumbent == forced_fill_incumbent(th), seed
 
 
 def test_levels_decide_items_in_ratio_order():
@@ -186,8 +263,9 @@ def test_bisected_bound_is_the_linear_scan(inst):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ratio_order_keeps_200_item_searches_small(seed):
     # Work, not time: deciding items in the order the bound scans them
-    # generates 368-2,323 children on these instances, where index order
-    # generated 2,046-10,379.
+    # generated 368-2,323 children on these instances, where index order
+    # generated 2,046-10,379; the forced fills' incumbent cuts it to
+    # 368-1,267.
     inst = gen_knapsack(200, None, 100, 100, seed)
     result = solve(Knapsack(inst))
     assert result.optimal_cost == knapsack_dp_ref(inst)

@@ -31,14 +31,17 @@ from hypothesis import strategies as st
 from conftest import (
     FullKnapsack,
     FullPath,
+    GreedyIncumbentKnapsack,
     IncumbentPath,
     ScanPath,
     assert_bound_is_the_scan,
     assert_key_matches_dominates,
     assert_stats_ledger,
     enumerate_levels,
+    forced_fill_incumbent,
     multigraphs,
     one_pass_swept,
+    scan_fill,
     scan_split,
     sibling_families,
     two_pass_swept,
@@ -621,6 +624,28 @@ def test_knapsack_bound_keeps_every_move_that_can_reach_the_incumbent(inst):
                 room = inst.capacity - child.weight
                 if child.utility + best_rest(len(child.serial), room) >= th.incumbent:
                     assert (inc, move) in kept, (y, move)
+
+
+@given(knapsack_instances)
+@settings(max_examples=150, deadline=None)
+def test_knapsack_incumbent_is_a_feasible_fill_from_greedy_to_optimum(inst):
+    # Subsets are enumerated over the raw items, not through the theory.
+    th = Knapsack(inst)
+    feasible = {
+        sum(u for (_, u), bit in zip(inst.items, bits) if bit)
+        for bits in product((0, 1), repeat=inst.n)
+        if sum(w for (w, _), bit in zip(inst.items, bits) if bit) <= inst.capacity
+    }
+    assert th.greedy_fill in feasible and th.incumbent in feasible
+    assert th.greedy_fill <= th.incumbent <= max(feasible)
+    assert th.greedy_fill == scan_fill(th.decided, inst.capacity)
+    assert th.incumbent == forced_fill_incumbent(th)
+    # A lower incumbent prunes less, and no optimum depends on which.
+    run, greedy_run = solve(th), solve(GreedyIncumbentKnapsack(inst))
+    assert run.optima == greedy_run.optima
+    assert run.optimal_cost == greedy_run.optimal_cost
+    assert run.stats.generated <= greedy_run.stats.generated
+    assert_stats_ledger(run.stats)
 
 
 @given(
