@@ -10,21 +10,17 @@ initial one) and the cost-extremal filter is applied to all of them once at
 the end.  The search stops when the frontier empties or at the theory's
 ``max_depth()``, the only depth bound.
 
-``reduce_equivalent`` removes duplicate serials and merges mutual
-dominances.  When a theory gives an ``equivalence_key``, dominance within a
-group is a 2-D order: ``reduce_equivalent`` keys each child once and passes
-the keys on with the representatives, and ``filter_dominated`` finds the
-undominated members with one sort and a sweep (the Pareto-list method of
-Nemhauser and Ullmann, and of Kung, Luccio and Preparata).  Without one,
-``reduce_equivalent`` runs ``dedupe`` first, and both stages test pairs of
-members with ``dominates`` within each ``dominance_key`` group; that
-pairwise path is also the reference the keyed one is tested against.
+Dominance within a group is a 2-D order, stated by the theory's
+``equivalence_key``: ``reduce_equivalent`` keys each child once, merges equal
+keys and passes the keys on with the representatives, and
+``filter_dominated`` finds the undominated members with one sort and a sweep
+(the Pareto-list method of Nemhauser and Ullmann, and of Kung, Luccio and
+Preparata).  No stage calls ``dominates`` or ``dominance_key``; they are the
+relation the key is tested against.
 
 Dominance also reaches back across levels.  ``solve`` keeps one history per
-run of what each group kept at earlier levels, and ``filter_dominated``
-drops a member that an earlier level strictly dominates: its ``b`` is above
-the group's lowest earlier ``b`` (keyed, checked before the sort), or an
-earlier survivor dominates it without being dominated back (pairwise).
+run of the lowest ``b`` each group kept at earlier levels, and
+``filter_dominated`` drops a member whose ``b`` is above it, before the sort.
 Ties across levels survive.  A theory whose groups encode the level
 (knapsack, ``IdentityDominance``) is unaffected; for spsp a node's cheapest
 earlier path prunes every costlier path that reaches it later, as
@@ -125,6 +121,7 @@ def expand(theory: ProblemTheory, spaces: Iterable[Any]) -> list[Any]:
     return children
 
 
+# Not called by ``solve``; kept because ``perfbench/tracer.py``'s ``STAGES`` wraps it by name.
 def dedupe(children: Iterable[Any]) -> tuple[list[Any], int]:
     """Drop canonical-equality duplicates, keeping each serial's first child.
 
@@ -138,106 +135,59 @@ def dedupe(children: Iterable[Any]) -> tuple[list[Any], int]:
     return list(first.values()), n - len(first)
 
 
-def reduce_equivalent(theory: ProblemTheory, children: list[Any]) -> tuple[Any, int, int]:
+def reduce_equivalent(theory: ProblemTheory, children: list[Any]) -> tuple[dict, int, int]:
     """Drop duplicates and collapse mutual-dominance classes to their first member.
 
-    Returns ``(reps, merged, duplicates)``.  Each class is represented by its
-    first member in input order (in the engine, the first generated), and
-    ``reps`` keeps that order: a dict from equivalence key to representative
-    on the keyed path, a list on the pairwise path.  Either way
-    ``len(reps)`` is the number of representatives, and ``filter_dominated``
-    takes ``reps`` as it is.
-
-    Keyed, ``equivalence_key`` is called once per child.  Equal serials give
-    equal keys, so every copy of a serial falls in one run of equal keys: a
-    tied member is a duplicate when its serial equals that of an earlier
-    member of its run, and merged otherwise.  Only the members of runs
-    longer than one are hashed by serial.  The pairwise path runs ``dedupe``
-    first, then compares each member with the representative of every class
-    found so far in its ``dominance_key`` group.
+    Returns ``(reps, merged, duplicates)``: ``reps`` maps each
+    ``equivalence_key`` to its class's first member in input order (in the
+    engine, the first generated), in that order, and ``filter_dominated``
+    takes it as it is.  The key is called once per child.  Equal serials
+    give equal keys, so every copy of a serial falls in one run of equal
+    keys: a tied member is a duplicate when its serial equals that of an
+    earlier member of its run, and merged otherwise.  Only the members of
+    runs longer than one are hashed by serial.
     """
     key = theory.equivalence_key
-    if key is not None:
-        reps_by_key: dict = {}
-        tied = []
-        for y in children:
-            k = key(y)
-            if k in reps_by_key:
-                tied.append((k, y))
-            else:
-                reps_by_key[k] = y
-        # One set for all runs of tied keys: a serial can only repeat within
-        # its own run.
-        serials = {reps_by_key[k].serial for k, _ in tied}
-        duplicates = 0
-        for _, y in tied:
-            if y.serial in serials:
-                duplicates += 1
-            else:
-                serials.add(y.serial)
-        return reps_by_key, len(tied) - duplicates, duplicates
-    spaces, duplicates = dedupe(children)
-    merged = 0
-    reps: list[Any] = []
-    groups: dict = {}
-    for y in spaces:
-        group = groups.setdefault(theory.dominance_key(y), [])
-        for rep in group:
-            if theory.dominates(y, rep) and theory.dominates(rep, y):
-                merged += 1
-                break
+    reps: dict = {}
+    tied = []
+    for y in children:
+        k = key(y)
+        if k in reps:
+            tied.append((k, y))
         else:
-            group.append(y)
-            reps.append(y)
-    return reps, merged, duplicates
-
-
-def filter_dominated(theory: ProblemTheory, reps: Any, history: dict) -> tuple[list[Any], int]:
-    """Remove every member strictly dominated by another representative.
-
-    ``reps`` is what ``reduce_equivalent`` returns: free of mutual
-    dominances, which makes survival order-independent.  Survivors keep its
-    order.  ``history`` holds what earlier levels of one run left behind, per
-    dominance group: the lowest surviving ``b`` on the keyed path, every
-    survivor on the pairwise path.  A member strictly dominated by an earlier
-    level is removed too, and the level's survivors are added to
-    ``history``; a run's first level starts with an empty one.
-    """
-    if theory.equivalence_key is not None:
-        return _pareto_sweep(reps, history)
-    keys = [theory.dominance_key(y) for y in reps]
-    groups: dict = {}
-    for y, k in zip(reps, keys):
-        groups.setdefault(k, []).append(y)
-    kept = [
-        (y, k)
-        for y, k in zip(reps, keys)
-        if not any(other is not y and theory.dominates(other, y) for other in groups[k])
-        and not any(
-            theory.dominates(o, y) and not theory.dominates(y, o)
-            for o in history.get(k, ())
-        )
-    ]
-    for y, k in kept:
-        history.setdefault(k, []).append(y)
-    return [y for y, _ in kept], len(reps) - len(kept)
+            reps[k] = y
+    # One set for all runs of tied keys: a serial can only repeat within its
+    # own run.
+    serials = {reps[k].serial for k, _ in tied}
+    duplicates = 0
+    for _, y in tied:
+        if y.serial in serials:
+            duplicates += 1
+        else:
+            serials.add(y.serial)
+    return reps, len(tied) - duplicates, duplicates
 
 
 #: Equal to no key's group, so a sweep's first member always opens a group.
 _NO_GROUP: Any = object()
 
 
-def _pareto_sweep(reps: dict, history: dict) -> tuple[list[Any], int]:
-    """``filter_dominated`` for ``reps`` keyed by their ``equivalence_key``.
+def filter_dominated(theory: ProblemTheory, reps: dict, history: dict) -> tuple[list[Any], int]:
+    """Remove every member strictly dominated by another representative.
 
-    A group that recurs across levels keeps one ``a``, so an earlier level
-    dominates a member exactly when the group's lowest earlier ``b`` in
-    ``history`` is strictly smaller; ties survive.  Such members are dropped
-    first, before the sort.  In ``(group, a, b)`` order a remaining member is
-    dominated within its level exactly when an earlier member of its group
-    has a ``b`` no greater; the keys are distinct, so the strict test is
-    exact.
+    ``reps`` is what ``reduce_equivalent`` returns: free of mutual
+    dominances, which makes survival order-independent.  Survivors keep its
+    order.  ``history`` maps each group to the lowest ``b`` it kept at an
+    earlier level of one run (a run's first level starts with an empty
+    one); a group that recurs across levels keeps one ``a``, so an earlier
+    level dominates a member exactly when that ``b`` is strictly smaller,
+    and such members are dropped first, before the sort.  In ``(group, a,
+    b)`` order a remaining member is dominated within its level exactly
+    when an earlier member of its group has a ``b`` no greater; the keys
+    are distinct, so the strict test is exact.  The level's lowest ``b``
+    per group is then written back to ``history``.
     """
+    # ``theory`` is unused; ``perfbench/tracer.py`` reads ``reps`` as ``args[1]``.
     earlier = history.get
     live = [k for k in reps if (h := earlier(k[0])) is None or k[2] <= h]
     kept = set()

@@ -30,7 +30,7 @@ undominated child per level requires.  The same ranking is the theories'
 ``equivalence_key``, ``(level, 0, (partial_cost, serial))``: a level of the
 search holds the children of its one surviving parent, among which key
 order is exactly ``dominates``, so the pipeline (``strictly_ranked`` off)
-takes the keyed sort and sweep rather than testing every pair of siblings.
+runs for them on the key alone, with one sort and sweep per level.
 
 Both schemes override ``greedy_walk``, the engine's greedy path, with the
 finite-differenced form of their derivation (Paige and Koenig's finite

@@ -17,6 +17,11 @@ Descriptors are immutable values and must expose one attribute:
     order, then each member's ``child_moves`` order.  Each pipeline stage
     keeps that order and, among tied members, the first.
 
+The engine reads dominance only through the required ``equivalence_key``,
+a 2-D order per group.  ``dominates``, ``semi_congruent`` and
+``dominance_key`` state the same relation pairwise, as the paper does; the
+engine never calls them, and the tests check the key against them.
+
 The engine compares descriptors only by ``serial`` or by identity, never as
 whole values, so a descriptor may be a ``NamedTuple`` even though tuples
 compare field by field.  The shipped theories' descriptors are, because a
@@ -28,7 +33,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 
 class Direction(Enum):
@@ -77,19 +82,6 @@ class ProblemTheory(ABC):
     #: search off the walk's last descriptor only, so ``extract`` must be
     #: ``None`` on every descriptor the walk passes before it.
     strictly_ranked: bool = False
-
-    #: Optional map from descriptor to ``(group, a, b)`` such that, for any
-    #: two descriptors the search reaches, ``dominates(y, o)`` holds exactly
-    #: when both have the same group, ``a(y) <= a(o)`` and ``b(y) <= b(o)``:
-    #: dominance is a 2-D order with both coordinates minimised, so negate
-    #: one to maximise it.  Equal keys are then exactly mutual dominance.
-    #: Keys must be hashable and mutually orderable, and a group that recurs
-    #: across levels must keep one ``a``.  The engine calls it once per
-    #: child, merges equal keys, drops a member whose ``b`` is strictly above
-    #: the lowest ``b`` its group kept at an earlier level, and filters the
-    #: rest with one sort and sweep per level; ``None`` makes both stages
-    #: fall back to pairwise ``dominates`` tests.
-    equivalence_key: Optional[Callable[[Any], tuple]] = None
 
     # -- space structure ---------------------------------------------------
 
@@ -211,11 +203,14 @@ class ProblemTheory(ABC):
     def dominates(self, y: Any, other: Any) -> bool:
         """Pruning preorder: ``other`` may be dropped when ``y`` dominates it.
 
-        Within one level the engine drops ``other`` when ``y`` dominates it;
-        across levels, when an earlier-level survivor ``y`` dominates it and
-        ``other`` does not dominate ``y`` back, so cross-level ties are kept.
-        Default implementation: semi-congruent and at least as cheap (flipped
-        under maximization).  Problems may override with a stronger derived
+        The paper's dominance relation, and the specification of
+        ``equivalence_key``: the engine never calls it, but prunes by the
+        key, which must state it exactly.  Within one level ``other`` is
+        dropped when ``y`` dominates it; across levels, when an
+        earlier-level survivor ``y`` dominates it and ``other`` does not
+        dominate ``y`` back, so cross-level ties are kept.  Default
+        implementation: semi-congruent and at least as cheap (flipped under
+        maximization).  Problems may override with a stronger derived
         relation.
         """
         if not self.semi_congruent(y, other):
@@ -224,13 +219,30 @@ class ProblemTheory(ABC):
             self.partial_cost(y), self.partial_cost(other)
         )
 
+    # Unread by the engine; ``perfbench/tracer.py``'s ``TracedTheory`` gets it by name.
     def dominance_key(self, y: Any) -> Hashable:
         """Sound partition key: ``dominates(y, y')`` implies equal keys.
 
-        The engine restricts pairwise dominance tests to same-key groups.
-        Default: a single group.
+        Read only by the tests' pairwise reference solver, which restricts
+        its ``dominates`` tests to same-key groups.  Default: a single
+        group.
         """
         return None
+
+    @abstractmethod
+    def equivalence_key(self, y: Any) -> tuple:
+        """The engine's only view of dominance: ``(group, a, b)`` for ``y``.
+
+        For any two descriptors the search reaches, ``dominates(y, o)``
+        holds exactly when both have the same group, ``a(y) <= a(o)`` and
+        ``b(y) <= b(o)``: dominance is a 2-D order with both coordinates
+        minimised, so negate one to maximise it.  Equal keys are then exactly
+        mutual dominance.  Keys must be hashable and mutually orderable, and
+        a group that recurs across levels must keep one ``a``.  The engine
+        calls it once per child, merges equal keys, drops a member whose
+        ``b`` is strictly above the lowest ``b`` its group kept at an earlier
+        level, and filters the rest with one sort and sweep per level.
+        """
 
 
 def _serials_equal(y: Any, other: Any) -> bool:

@@ -9,6 +9,8 @@ from itertools import islice
 import pytest
 from hypothesis import strategies as st
 
+from frontier_search import engine
+from frontier_search.engine import dedupe
 from frontier_search.problems import (
     Graph,
     Knapsack,
@@ -275,6 +277,72 @@ def bounded(theory: ProblemTheory, depth: int | None) -> ProblemTheory:
     if depth is not None:
         copied.max_depth = lambda: depth
     return copied
+
+
+def pairwise_reduce(theory: ProblemTheory, children: list) -> tuple[list, int, int]:
+    """``engine.reduce_equivalent`` by pairwise ``dominates`` tests.
+
+    ``dedupe`` first, then each member is compared with the representative
+    of every class found so far in its ``dominance_key`` group, and merged
+    into the first it dominates both ways.  Returns ``(reps, merged,
+    duplicates)`` with ``reps`` a list in input order.
+    """
+    spaces, duplicates = dedupe(children)
+    merged = 0
+    reps: list = []
+    groups: dict = {}
+    for y in spaces:
+        group = groups.setdefault(theory.dominance_key(y), [])
+        for rep in group:
+            if theory.dominates(y, rep) and theory.dominates(rep, y):
+                merged += 1
+                break
+        else:
+            group.append(y)
+            reps.append(y)
+    return reps, merged, duplicates
+
+
+def pairwise_filter(theory: ProblemTheory, reps: list, history: dict) -> tuple[list, int]:
+    """``engine.filter_dominated`` by pairwise ``dominates`` tests.
+
+    A member is dropped when another of its ``dominance_key`` group at its
+    level dominates it, or when a survivor of an earlier level in
+    ``history`` dominates it without being dominated back.  ``history``
+    holds every survivor per group, and the level's survivors are added.
+    """
+    keys = [theory.dominance_key(y) for y in reps]
+    groups: dict = {}
+    for y, k in zip(reps, keys):
+        groups.setdefault(k, []).append(y)
+    kept = [
+        (y, k)
+        for y, k in zip(reps, keys)
+        if not any(other is not y and theory.dominates(other, y) for other in groups[k])
+        and not any(
+            theory.dominates(o, y) and not theory.dominates(y, o)
+            for o in history.get(k, ())
+        )
+    ]
+    for y, k in kept:
+        history.setdefault(k, []).append(y)
+    return [y for y, _ in kept], len(reps) - len(kept)
+
+
+def pairwise_solve(theory: ProblemTheory, config=None):
+    """``engine.solve`` with ``pairwise_reduce`` and ``pairwise_filter`` in
+    place of its two dominance stages.
+
+    The reference the keyed pipeline is tested against: the same loop,
+    greedy check and stats, with dominance read off ``dominates`` and
+    ``dominance_key`` in place of ``equivalence_key``.
+    """
+    stages = engine.reduce_equivalent, engine.filter_dominated
+    engine.reduce_equivalent, engine.filter_dominated = pairwise_reduce, pairwise_filter
+    try:
+        return engine.solve(theory, config)
+    finally:
+        engine.reduce_equivalent, engine.filter_dominated = stages
 
 
 def assert_key_matches_dominates(theory, y, other):

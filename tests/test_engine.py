@@ -2,7 +2,15 @@ import copy
 
 import pytest
 
-from conftest import FullKnapsack, FullPath, assert_stats_ledger, bounded
+from conftest import (
+    FullKnapsack,
+    FullPath,
+    assert_stats_ledger,
+    bounded,
+    pairwise_filter,
+    pairwise_reduce,
+    pairwise_solve,
+)
 
 from frontier_search import (
     EngineConfig,
@@ -11,6 +19,7 @@ from frontier_search import (
     Mode,
     solve,
 )
+from frontier_search import engine
 from frontier_search.cli import gen_graph, gen_knapsack
 from frontier_search.engine import (
     collect_locals,
@@ -122,9 +131,7 @@ def test_first_generated_representative_survives_a_merge(keyed):
     # merge at level 2.  In-first, "in, out" is generated first and kept,
     # although its serial (1, 0) sorts after (0, 1).
     th = InFirstKnapsack(KnapsackInstance(1, ((1, 1), (1, 1))))
-    if not keyed:
-        th.equivalence_key = None  # force the generic pairwise path
-    result = solve(th)
+    result = (solve if keyed else pairwise_solve)(th)
     assert result.optima == {frozenset({0})}
     assert result.stats.equivalence_merged == 1
     assert_stats_ledger(result.stats)
@@ -177,8 +184,7 @@ def test_reduce_pairwise_fallback_matches_keyed_path(diamond):
     rchild = th.apply_move(th.apply_move(th.initial(), 1), 3)
     spaces = sorted([lchild, rchild], key=lambda y: y.serial)
     keyed = reduce_equivalent(th, spaces)
-    th.equivalence_key = None  # force the generic pairwise path
-    pairwise = reduce_equivalent(th, spaces)
+    pairwise = pairwise_reduce(th, spaces)
     assert [y.serial for y in keyed[0].values()] == [y.serial for y in pairwise[0]]
     assert keyed[1:] == pairwise[1:]
 
@@ -197,17 +203,15 @@ def test_reduce_counts_a_repeated_serial_as_a_duplicate(weighted_triangle, diamo
     assert merged == 0 and duplicates == 2
     # One run of equal keys holding another serial and a second copy of the
     # representative or of the merged member: one merge and one duplicate,
-    # as on the pairwise path.
+    # as in the pairwise reference.
     th = SinglePairShortestPath(diamond, 0, 3)
-    pairwise = copy.copy(th)
-    pairwise.equivalence_key = None  # force the generic pairwise path
     left, right, left_again, right_again = (
         th.apply_move(th.apply_move(th.initial(), a), b)
         for a, b in ((0, 2), (1, 3), (0, 2), (1, 3)))
     for level in ([left, right, left_again], [left, right, right_again]):
         reps, merged, duplicates = reduce_equivalent(th, level)
         assert (list(reps.values()), merged, duplicates) == ([left], 1, 1)
-        assert reduce_equivalent(pairwise, level) == ([left], 1, 1)
+        assert pairwise_reduce(th, level) == ([left], 1, 1)
 
 
 def test_reduce_level_with_two_tied_runs():
@@ -221,8 +225,7 @@ def test_reduce_level_with_two_tied_runs():
     children += [copy.copy(children[2]), copy.copy(children[3])]
     reps, merged, duplicates = reduce_equivalent(th, children)
     assert (list(reps.values()), merged, duplicates) == (children[:2], 2, 2)
-    th.equivalence_key = None  # force the generic pairwise path
-    assert reduce_equivalent(th, children) == (children[:2], 2, 2)
+    assert pairwise_reduce(th, children) == (children[:2], 2, 2)
 
 
 def test_filter_keeps_cheapest_path_per_end_node():
@@ -243,16 +246,14 @@ def test_filter_incomparable_set_unchanged():
 
 def test_filter_sweep_matches_pairwise_on_knapsack_levels():
     th = Knapsack(gen_knapsack(14, None, 9, 9, 5))
-    pairwise = Knapsack(th.instance)
-    pairwise.equivalence_key = None  # force the generic pairwise path
     frontier = [th.initial()]
     while frontier:
         children = expand(th, frontier)
         reps, *counts = reduce_equivalent(th, children)
-        pairwise_reps, *pairwise_counts = reduce_equivalent(pairwise, children)
+        pairwise_reps, *pairwise_counts = pairwise_reduce(th, children)
         assert list(reps.values()) == pairwise_reps and counts == pairwise_counts
         swept = filter_dominated(th, reps, {})
-        assert swept == filter_dominated(pairwise, pairwise_reps, {})
+        assert swept == pairwise_filter(th, pairwise_reps, {})
         frontier = swept[0]
 
 
@@ -321,7 +322,10 @@ def test_opt_c_maximize():
 
 
 class StrictCostPrim(PrimSpanningTree):
-    """Cut growth with strictly-cheaper dominance only: ties stay unresolved."""
+    """Cut growth with strictly-cheaper dominance only: ties stay unresolved.
+
+    A strict relation is no 2-D order, so it has no key, and only
+    ``pairwise_solve`` can run it."""
 
     strictly_ranked = False
     equivalence_key = None
@@ -344,13 +348,13 @@ def equal_min_star():
 def test_greedy_violation_on_equal_minimum_cut_edges():
     th = StrictCostPrim(equal_min_star(), 0)
     with pytest.raises(GreedyViolation) as exc:
-        solve(th, EngineConfig(mode=Mode.GREEDY))
+        pairwise_solve(th, EngineConfig(mode=Mode.GREEDY))
     assert exc.value.width == 2 and exc.value.level == 1
 
 
 def test_exhaustive_mode_solves_past_greedy_violation():
     th = StrictCostPrim(equal_min_star(), 0)
-    result = solve(th, EngineConfig(mode=Mode.EXHAUSTIVE))
+    result = pairwise_solve(th, EngineConfig(mode=Mode.EXHAUSTIVE))
     assert result.optimal_cost == 2
     assert_stats_ledger(result.stats)
 
@@ -366,9 +370,20 @@ def test_mode_given_by_value_is_the_mode():
     config = EngineConfig(mode="greedy")
     assert config == EngineConfig(mode=Mode.GREEDY) and config.mode is Mode.GREEDY
     with pytest.raises(GreedyViolation) as exc:
-        solve(StrictCostPrim(equal_min_star(), 0), config)
+        pairwise_solve(StrictCostPrim(equal_min_star(), 0), config)
     assert exc.value.width == 2 and exc.value.level == 1
     assert EngineConfig(mode="exhaustive").mode is Mode.EXHAUSTIVE
+
+
+def test_pairwise_solve_puts_the_engine_stages_back():
+    # The reference swaps its stages into the engine for one run only, and
+    # a run that raises leaves the engine's own stages in place too.
+    stages = engine.reduce_equivalent, engine.filter_dominated
+    with pytest.raises(GreedyViolation):
+        pairwise_solve(StrictCostPrim(equal_min_star(), 0), EngineConfig(mode=Mode.GREEDY))
+    assert (engine.reduce_equivalent, engine.filter_dominated) == stages
+    assert pairwise_solve(knapsack3()) == solve(knapsack3())
+    assert (engine.reduce_equivalent, engine.filter_dominated) == stages
 
 
 @pytest.mark.parametrize("mode", ["fast", "GREEDY", None, 1])

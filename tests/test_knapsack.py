@@ -6,6 +6,7 @@ from conftest import (
     assert_bound_is_the_scan,
     assert_stats_ledger,
     forced_fill_incumbent,
+    pairwise_solve,
 )
 
 from frontier_search import IdentityDominance, solve
@@ -283,7 +284,9 @@ def test_identity_dominance_solves_sixteen_items_in_linear_stages():
 
 
 class DefaultDominanceKnapsack(Knapsack):
-    """Knapsack on ``ProblemTheory``'s default semi-congruence and one group."""
+    """Knapsack on ``ProblemTheory``'s default semi-congruence and one group.
+
+    Only ``pairwise_solve`` reads those hooks, so it has no key."""
 
     semi_congruent = ProblemTheory.semi_congruent
     dominance_key = ProblemTheory.dominance_key
@@ -295,7 +298,7 @@ def test_default_dominance_hooks_keep_every_optimum(seed):
     # The default semi-congruence is canonical equality, so only equal
     # serials dominate each other and every optimum survives.
     th = DefaultDominanceKnapsack(gen_knapsack(8, None, 9, 3, seed))
-    result = solve(th)
+    result = pairwise_solve(th)
     oracle = brute_force(th)
     assert result.optimal_cost == oracle.optimal_cost
     assert len(result.optima) == oracle.witness_count

@@ -8,6 +8,7 @@ from conftest import (
     assert_stats_ledger,
     multigraphs,
     one_pass_swept,
+    pairwise_solve,
     two_pass_swept,
 )
 
@@ -263,9 +264,7 @@ def test_cross_level_ties_are_kept(keyed):
     # The level-2 path (1, 2) reaches node 2 at the cost of the level-1 path
     # (0,); dropping that tie would drop the optimum (1, 2).
     th = theory(Graph(3, ((0, 2, 0), (0, 1, 0), (1, 2, 0))))
-    if not keyed:
-        th.equivalence_key = None  # force the generic pairwise path
-    result = solve(th)
+    result = (solve if keyed else pairwise_solve)(th)
     assert result.optima == {(0,), (1, 2)}
     assert result.stats.dominated_pruned == 0
     assert_stats_ledger(result.stats)
@@ -278,9 +277,7 @@ def test_cross_level_strictly_costlier_path_is_pruned(keyed):
     # level-1 path (1,) at cost 1, and survives.  The bound would cut every
     # path dearer than the direct edge, so the search runs unbounded.
     th = FullPath(Graph(3, ((0, 2, 0), (0, 1, 1), (1, 2, 0))), 0, 2)
-    if not keyed:
-        th.equivalence_key = None  # force the generic pairwise path
-    result = solve(th)
+    result = (solve if keyed else pairwise_solve)(th)
     assert result.optima == {(0,)} and result.optimal_cost == 0
     assert result.stats.per_level_width == ((2, 2), (2, 1), (0, 0))
     assert result.stats.dominated_pruned == 1
@@ -296,9 +293,7 @@ def test_cross_level_equal_cost_paths_merge_before_the_prune(keyed):
     # cut every path dearer than the direct edge, so the search runs unbounded.
     g = Graph(4, ((0, 2, 0), (0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 1)))
     th = FullPath(g, 0, 2)
-    if not keyed:
-        th.equivalence_key = None  # force the generic pairwise path
-    result = solve(th)
+    result = (solve if keyed else pairwise_solve)(th)
     assert result.optima == {(0,)} and result.optimal_cost == 0
     assert result.stats.per_level_width == ((3, 3), (4, 2), (0, 0))
     assert result.stats.equivalence_merged == 1

@@ -41,6 +41,9 @@ from conftest import (
     forced_fill_incumbent,
     multigraphs,
     one_pass_swept,
+    pairwise_filter,
+    pairwise_reduce,
+    pairwise_solve,
     scan_fill,
     scan_split,
     sibling_families,
@@ -564,12 +567,23 @@ def test_spsp_equivalence_key_order_equals_dominates(seed, data):
     assert_key_matches_dominates(theory, y, other)
 
 
-class PairwiseKnapsack(Knapsack):
-    equivalence_key = None
-
-
-class PairwiseSinglePairShortestPath(SinglePairShortestPath):
-    equivalence_key = None
+def test_equivalence_key_states_dominates_on_every_pair():
+    # The key is the engine's only view of dominance: the reduce and the
+    # sweep read it within a level, and the history prune across levels.  So
+    # every ordered pair of reachable descriptors, of one level or of two, is
+    # held to ``dominates``: spsp bounded and unbounded, knapsack, and the
+    # ``IdentityDominance`` copy of each.
+    spsp = spsp_bound_pool()
+    leveled = (
+        spsp
+        + [FullPath(th.graph, th.source, th.target) for th in spsp]
+        + knapsack_theories(12)
+        + preorder_pools()["knapsack"]
+    )
+    for theory in leveled + [IdentityDominance(th) for th in leveled]:
+        reached = [y for layer in enumerate_levels(theory) for y in layer]
+        for y, other in product(reached, repeat=2):
+            assert_key_matches_dominates(theory, y, other)
 
 
 @given(st.integers(0, 2**30))
@@ -577,11 +591,11 @@ class PairwiseSinglePairShortestPath(SinglePairShortestPath):
 def test_keyed_solve_equals_pairwise_solve(seed):
     rng = random.Random(seed)
     inst = gen_knapsack(rng.randint(0, 20), None, rng.randint(1, 20), 20, seed)
-    assert solve(Knapsack(inst)) == solve(PairwiseKnapsack(inst))
+    assert solve(Knapsack(inst)) == pairwise_solve(Knapsack(inst))
     g = gen_graph(rng.randint(2, 14), rng.uniform(0.0, 0.6), 5, seed)
     target = rng.randrange(g.n)
-    assert solve(SinglePairShortestPath(g, 0, target)) == solve(
-        PairwiseSinglePairShortestPath(g, 0, target)
+    assert solve(SinglePairShortestPath(g, 0, target)) == pairwise_solve(
+        SinglePairShortestPath(g, 0, target)
     )
 
 
@@ -882,24 +896,24 @@ def test_spsp_theories_on_one_graph_keep_their_own_move_tables():
             assert [solve(th) for th in pair] == solo, g
 
 
+#: The engine's dominance stages and the tests' pairwise reference stages.
+STAGES = ((reduce_equivalent, filter_dominated), (pairwise_reduce, pairwise_filter))
+
+
 def test_bounded_spsp_levels_are_the_full_levels_the_bound_admits():
     # Under the incumbent bound alone, each level's survivors are the
     # unbounded search's survivors whose cost is within their end node's
     # limit, in the same order, keyed and pairwise: h is consistent.
     for base in spsp_bound_pool():
         g, source, target = base.graph, base.source, base.target
-        for keyed in (True, False):
+        for reduce, filter_ in STAGES:
             th, full = IncumbentPath(g, source, target), FullPath(g, source, target)
-            if not keyed:
-                th.equivalence_key = full.equivalence_key = None
             frontier, full_frontier = [th.initial()], [full.initial()]
             history, full_history = {}, {}
             while full_frontier:
-                frontier = filter_dominated(
-                    th, reduce_equivalent(th, expand(th, frontier))[0], history
-                )[0]
-                full_frontier = filter_dominated(
-                    full, reduce_equivalent(full, expand(full, full_frontier))[0], full_history
+                frontier = filter_(th, reduce(th, expand(th, frontier))[0], history)[0]
+                full_frontier = filter_(
+                    full, reduce(full, expand(full, full_frontier))[0], full_history
                 )[0]
                 limits = th._limits
                 assert frontier == [y for y in full_frontier if y.cost <= limits[y.end]]
@@ -919,15 +933,14 @@ def test_bounded_spsp_equals_full_path_on_property_pools():
 # -- spsp swept cut ------------------------------------------------------------
 
 
-def optimal_cost_members(th, dist):
+def optimal_cost_members(th, dist, reduce=reduce_equivalent, filter_=filter_dominated):
     """Each level's survivors that cost Dijkstra's distance to their end
-    node, stepping the engine's stages level by level."""
+    node, stepping the given stages (the engine's by default) level by
+    level."""
     frontier, history, levels = [th.initial()], {}, []
     while frontier:
         levels.append([y for y in frontier if y.cost == dist[y.end]])
-        frontier = filter_dominated(
-            th, reduce_equivalent(th, expand(th, frontier))[0], history
-        )[0]
+        frontier = filter_(th, reduce(th, expand(th, frontier))[0], history)[0]
     return levels
 
 
@@ -936,16 +949,14 @@ def assert_swept_cut_keeps_the_optimal_cost_members(g, source, target):
     # keeps the same members that cost the distance to their end node, in
     # the same order, so the optima agree; it builds no more children.
     dist = distances(g, source)
-    for keyed in (True, False):
+    for run, stages in zip((solve, pairwise_solve), STAGES):
         th, ref = SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)
-        if not keyed:
-            th.equivalence_key = ref.equivalence_key = None
-        cut, uncut = solve(th), solve(ref)
+        cut, uncut = run(th), run(ref)
         assert cut.optima == uncut.optima
         assert cut.optimal_cost == uncut.optimal_cost
         assert cut.stats.generated <= uncut.stats.generated
         assert_stats_ledger(cut.stats)
-        assert optimal_cost_members(th, dist) == optimal_cost_members(ref, dist)
+        assert optimal_cost_members(th, dist, *stages) == optimal_cost_members(ref, dist, *stages)
     th, ref = SinglePairShortestPath(g, source, target), IncumbentPath(g, source, target)
     assert solve(IdentityDominance(th)).optima == solve(IdentityDominance(ref)).optima
 

@@ -1,8 +1,11 @@
+import pytest
+
 from conftest import bounded
 
 from frontier_search import Direction, IdentityDominance, solve
 from frontier_search.cli import gen_graph
 from frontier_search.problems import Knapsack, KnapsackInstance, SinglePairShortestPath
+from frontier_search.theory import ProblemTheory
 
 
 def make_theory():
@@ -23,6 +26,43 @@ def test_direction_comparisons():
     assert Direction.MINIMIZE.at_least_as_good(2, 2)
     assert Direction.MAXIMIZE.at_least_as_good(3, 2)
     assert not Direction.MAXIMIZE.at_least_as_good(1, 2)
+
+
+class NoKeyTheory(ProblemTheory):
+    """Every required hook but ``equivalence_key``: one empty descriptor."""
+
+    def initial(self):
+        return ()
+
+    def child_moves(self, y):
+        return []
+
+    def apply_move(self, y, move):
+        return y
+
+    def extract(self, y):
+        return y
+
+    def max_depth(self):
+        return 0
+
+    def feasible(self, z):
+        return True
+
+    def cost(self, z):
+        return 0
+
+    def partial_cost(self, y):
+        return 0
+
+
+def test_a_theory_without_an_equivalence_key_cannot_be_built():
+    # The key is the engine's only view of dominance, so it is a required
+    # hook: a theory that lacks it fails when it is built, not mid-search.
+    with pytest.raises(TypeError, match="equivalence_key"):
+        NoKeyTheory()
+    keyed = type("Keyed", (NoKeyTheory,), {"equivalence_key": lambda self, y: (0, 0, 0)})
+    assert keyed().equivalence_key(()) == (0, 0, 0)
 
 
 def test_default_dominance_is_semi_congruence_plus_cost():

@@ -1,4 +1,3 @@
-import copy
 from itertools import combinations
 
 import pytest
@@ -10,6 +9,7 @@ from conftest import (
     assert_stats_ledger,
     bounded,
     enumerate_levels,
+    pairwise_solve,
 )
 
 from frontier_search import EngineConfig, IdentityDominance, Mode, solve
@@ -292,14 +292,14 @@ TREE_THEORIES = {
 
 
 def walk_variants(problem, g):
-    """The theory with its own walk, with the interface's default walk, with
-    the keyed pipeline in place of any walk, and with the pairwise pipeline."""
+    """The theory with its own walk, with the interface's default walk, and
+    with the pipeline in place of any walk, which ``pairwise_solve`` also
+    runs."""
     cls = TREE_THEORIES[problem]
     default = type("DefaultWalk", (cls,), {"greedy_walk": ProblemTheory.greedy_walk})
     keyed = type("Keyed", (cls,), {"strictly_ranked": False})
-    pairwise = type("Pairwise", (keyed,), {"equivalence_key": None})
     args = (g,) if cls is KruskalSpanningTree else (g, 0)
-    return tuple(c(*args) for c in (cls, default, keyed, pairwise))
+    return tuple(c(*args) for c in (cls, default, keyed))
 
 
 @st.composite
@@ -335,9 +335,9 @@ def tied_multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_greedy_walk_equals_default_walk_and_generic_pipeline(g, problem, depth, mode):
     depth_bound = max(g.n - 2, 0) if depth == "n-2" else depth
-    theories = walk_variants(problem, g)
-    fast, default, keyed, pairwise = (
-        solve(bounded(th, depth_bound), EngineConfig(mode=mode)) for th in theories)
+    theories, config = walk_variants(problem, g), EngineConfig(mode=mode)
+    fast, default, keyed = (solve(bounded(th, depth_bound), config) for th in theories)
+    pairwise = pairwise_solve(bounded(theories[2], depth_bound), config)
     assert fast == default == keyed == pairwise
     assert_stats_ledger(fast.stats)
     # Past the spanning tree both walks stop at a level without moves.
@@ -383,7 +383,7 @@ def test_one_theory_walks_the_same_every_time(problem):
 def test_greedy_walk_matches_keyed_pipeline_at_sixty_nodes(problem):
     # The keyed sweep makes the pipeline practical at a size where testing
     # every pair of siblings was not.
-    fast, _, keyed, _ = walk_variants(problem, gen_graph(60, 0.2, 50, 2))
+    fast, _, keyed = walk_variants(problem, gen_graph(60, 0.2, 50, 2))
     assert solve(fast, GREEDY) == solve(keyed, GREEDY)
 
 
@@ -400,13 +400,9 @@ def test_equivalence_key_order_equals_dominates_on_siblings(g, problem, data):
         y = data.draw(st.sampled_from(children))
 
 
-def identity_keyed_and_pairwise(problem, g):
-    """``IdentityDominance`` of the keyed tree pipeline, and its copy
-    without an ``equivalence_key``."""
-    keyed = IdentityDominance(walk_variants(problem, g)[2])
-    pairwise = copy.copy(keyed)
-    pairwise.equivalence_key = None
-    return keyed, pairwise
+def identity_keyed(problem, g):
+    """``IdentityDominance`` of the keyed tree pipeline."""
+    return IdentityDominance(walk_variants(problem, g)[2])
 
 
 @given(tied_multigraphs().filter(lambda g: g.m <= 9), st.sampled_from(sorted(TREE_THEORIES)))
@@ -414,24 +410,25 @@ def identity_keyed_and_pairwise(problem, g):
 def test_keyed_duplicate_count_equals_pairwise_under_identity_dominance(g, problem):
     # An edge set reached in several orders is a run of equal keys whose
     # members share one serial: all duplicates, none merged.
-    keyed, pairwise = identity_keyed_and_pairwise(problem, g)
-    assert solve(keyed) == solve(pairwise)
+    keyed = identity_keyed(problem, g)
+    assert solve(keyed) == pairwise_solve(keyed)
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
 def test_identity_dominance_counts_each_repeated_edge_set_as_a_duplicate(
     problem, weighted_triangle
 ):
-    keyed, pairwise = identity_keyed_and_pairwise(problem, weighted_triangle)
+    keyed = identity_keyed(problem, weighted_triangle)
     result = solve(keyed)
-    assert result == solve(pairwise)
+    assert result == pairwise_solve(keyed)
     assert result.stats.duplicates_removed > 0
     assert result.stats.equivalence_merged == result.stats.dominated_pruned == 0
 
 
 @pytest.mark.parametrize("problem", sorted(TREE_THEORIES))
 def test_one_node_graph_counts_its_level_zero_local_once(problem):
-    for th in walk_variants(problem, Graph(1, ())):
-        stats = solve(th, GREEDY).stats
+    theories = walk_variants(problem, Graph(1, ()))
+    results = [solve(th, GREEDY) for th in theories] + [pairwise_solve(theories[2], GREEDY)]
+    for stats in (result.stats for result in results):
         assert stats.locals_found == 1
         assert stats.levels == 0 and stats.per_level_width == ()
