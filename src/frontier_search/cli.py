@@ -22,6 +22,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Any, Optional
 
 from . import oracles
@@ -76,11 +77,35 @@ def _int_fields(text: str, expected: tuple[str, ...], line_no: int) -> list[int]
 
 def _read_rows(
     text: str, header: tuple[str, ...], count_at: int, noun: str, row: tuple[str, ...]
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """The header's fields and each data line's fields, blank lines skipped.
 
     ``header[count_at]`` promises how many ``noun`` lines follow the header.
+    Valid text is read in whole-text passes: split, check every width and
+    the promise, then convert every field at once.  Text that fails a check
+    is read again line by line by ``_diagnose``, which raises the first
+    error with its line number.
     """
+    rows = [fields for fields in map(str.split, text.splitlines()) if fields]
+    width = len(row)
+    try:
+        if rows and len(rows[0]) == len(header):
+            head = list(map(int, rows[0]))
+            body = rows[1:]
+            if head[count_at] == len(body) and all(
+                map(width.__eq__, map(len, body))
+            ):
+                values = map(int, chain.from_iterable(body))
+                return head, tuple(zip(*[values] * width))
+    except ValueError:
+        pass
+    return _diagnose(text, header, count_at, noun, row)
+
+
+def _diagnose(
+    text: str, header: tuple[str, ...], count_at: int, noun: str, row: tuple[str, ...]
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """``_read_rows`` one line at a time, raising the first ``ParseError``."""
     lines = [
         (i, line)
         for i, line in enumerate(text.splitlines(), start=1)
@@ -95,19 +120,21 @@ def _read_rows(
             f"header promises {fields[count_at]} {noun}, found {len(lines) - 1}",
             head_no,
         )
-    return fields, [_int_fields(line, row, line_no) for line_no, line in lines[1:]]
+    return fields, tuple(
+        tuple(_int_fields(line, row, line_no)) for line_no, line in lines[1:]
+    )
 
 
 def parse_graph(text: str) -> Graph:
     (n, _), edges = _read_rows(text, ("n", "m"), 1, "edges", ("a", "b", "w"))
-    return Graph(n, tuple(map(tuple, edges)))
+    return Graph(n, edges)
 
 
 def parse_knapsack(text: str) -> KnapsackInstance:
     (_, capacity), items = _read_rows(
         text, ("n", "capacity"), 0, "items", ("weight", "utility")
     )
-    return KnapsackInstance(capacity, tuple(map(tuple, items)))
+    return KnapsackInstance(capacity, items)
 
 
 def render_graph(g: Graph) -> str:
@@ -146,10 +173,26 @@ def gen_graph(nodes: int, density: float, max_weight: int, seed: int) -> Graph:
         for pair in range(a * nodes + a + 1, (a + 1) * nodes)
         if pair not in present
     ]
-    rng.shuffle(spare)
+    # ``rng.shuffle(spare)``, then ``rng.randint(0, max_weight)`` per extra
+    # edge, made here with the draws from ``getrandbits`` that CPython's
+    # ``Random._randbelow`` makes for a value up to ``bound`` (3.10-3.12):
+    # ``(bound + 1).bit_length()`` bits, drawn again while above ``bound``.
+    # There are O(nodes^2) draws, and a method call for each was about two
+    # fifths of the generator's time.
+    getrandbits = rng.getrandbits
+    for i in range(len(spare) - 1, 0, -1):  # Durstenfeld's shuffle
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        spare[i], spare[j] = spare[j], spare[i]
+    bits = (max_weight + 1).bit_length()
     for pair in spare[: target_m - len(edges)]:
+        w = getrandbits(bits)
+        while w > max_weight:
+            w = getrandbits(bits)
         a, b = divmod(pair, nodes)
-        edges.append((a, b, rng.randint(0, max_weight)))
+        edges.append((a, b, w))
     return Graph(nodes, tuple(edges))
 
 
@@ -235,7 +278,9 @@ class RunReport:
 
 
 def _load_instance(args) -> Graph | KnapsackInstance:
-    with open(args.input, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark some editors write, which would
+    # otherwise stick to the header's first field.
+    with open(args.input, encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_knapsack(text) if args.problem == "knapsack" else parse_graph(text)
 

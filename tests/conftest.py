@@ -10,10 +10,12 @@ import pytest
 from hypothesis import strategies as st
 
 from frontier_search import engine
+from frontier_search.cli import ParseError
 from frontier_search.engine import dedupe
 from frontier_search.problems import (
     Graph,
     Knapsack,
+    KnapsackInstance,
     PathDescriptor,
     SinglePairShortestPath,
 )
@@ -228,6 +230,65 @@ class IncumbentPath(SinglePairShortestPath):
         limits = [self.incumbent - rest] * self.graph.n
         limits[self.target] = self.incumbent
         return limits
+
+
+def line_by_line_rows(
+    text: str, header: tuple[str, ...], count_at: int, noun: str, row: tuple[str, ...]
+) -> tuple[list[int], list[list[int]]]:
+    """``cli._read_rows`` as it was before its whole-text passes: every
+    line split, checked and converted in turn.
+
+    The reference the one-pass parser is tested against: on any text it
+    returns the same fields or raises the same ``ParseError``.
+    """
+
+    def int_fields(text: str, expected: tuple[str, ...], line_no: int) -> list[int]:
+        fields = text.split()
+        if len(fields) != len(expected):
+            raise ParseError(
+                f"expected {len(expected)} fields ({', '.join(expected)}), "
+                f"got {len(fields)}",
+                line_no,
+            )
+        values = []
+        for name, field in zip(expected, fields):
+            try:
+                values.append(int(field))
+            except ValueError:
+                raise ParseError(
+                    f"{name} is not an integer: {field!r}", line_no
+                ) from None
+        return values
+
+    lines = [
+        (i, line)
+        for i, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    if not lines:
+        raise ParseError("empty input", 1)
+    head_no, head = lines[0]
+    fields = int_fields(head, header, head_no)
+    if len(lines) - 1 != fields[count_at]:
+        raise ParseError(
+            f"header promises {fields[count_at]} {noun}, found {len(lines) - 1}",
+            head_no,
+        )
+    return fields, [int_fields(line, row, line_no) for line_no, line in lines[1:]]
+
+
+def line_by_line_graph(text: str) -> Graph:
+    """``cli.parse_graph`` on ``line_by_line_rows``."""
+    (n, _), edges = line_by_line_rows(text, ("n", "m"), 1, "edges", ("a", "b", "w"))
+    return Graph(n, tuple(map(tuple, edges)))
+
+
+def line_by_line_knapsack(text: str) -> KnapsackInstance:
+    """``cli.parse_knapsack`` on ``line_by_line_rows``."""
+    (_, capacity), items = line_by_line_rows(
+        text, ("n", "capacity"), 0, "items", ("weight", "utility")
+    )
+    return KnapsackInstance(capacity, tuple(map(tuple, items)))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -22,6 +23,8 @@ from frontier_search.cli import (
 )
 from frontier_search.problems import Graph, is_connected
 from frontier_search.problems.graphs import GraphValidationError
+
+from conftest import line_by_line_graph, line_by_line_knapsack
 
 TRIANGLE_TEXT = "3 3\n0 1 1\n1 2 1\n0 2 3\n"
 KNAP_TEXT = "3 5\n2 3\n3 4\n4 5\n"
@@ -87,6 +90,135 @@ def test_parse_knapsack_missing_utility():
     assert exc.value.line == 2
 
 
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its instance, or its error's type,
+    message and line."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+#: Whitespace that ``str.split`` and ``str.strip`` both count, and that
+#: ``str.splitlines`` does or does not break lines at.
+BLANKS = ("", " ", "\t", "\x0c", " \t\x0c ", "\r")
+
+
+def _insert_blank(draw, lines):
+    i = draw(st.integers(0, len(lines)))
+    return lines[:i] + [draw(st.sampled_from(BLANKS))] + lines[i:]
+
+
+def _respace(draw, lines):
+    if not lines:
+        return lines
+    i = draw(st.integers(0, len(lines) - 1))
+    sep = draw(st.sampled_from(["  ", "\t", "\x0c", " \t "]))
+    lines = list(lines)
+    lines[i] = draw(st.sampled_from(BLANKS)) + sep.join(lines[i].split())
+    return lines
+
+
+def _retoken(draw, lines):
+    """One field replaced by a variant that ``int`` takes or refuses."""
+    if not lines:
+        return lines
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split()
+    if not fields:
+        return lines
+    k = draw(st.integers(0, len(fields) - 1))
+    token = fields[k]
+    fields[k] = draw(st.sampled_from([
+        "+" + token,
+        token[:1] + "_" + token[1:] if len(token) > 1 else "1_000",
+        token.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+        token.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+        "-" + token,
+        token + "x",
+        "1.5",
+        "_1",
+    ]))
+    lines = list(lines)
+    lines[i] = " ".join(fields)
+    return lines
+
+
+def _reshape_row(draw, lines):
+    """A field dropped from or added to one line."""
+    if not lines:
+        return lines
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split()
+    fields = fields[:-1] if draw(st.booleans()) else fields + ["7"]
+    lines = list(lines)
+    lines[i] = " ".join(fields)
+    return lines
+
+
+def _miscount(draw, lines):
+    """A header field, the promised count among them, off by one."""
+    if not lines or len(lines[0].split()) != 2:
+        return lines
+    fields = lines[0].split()
+    k = draw(st.integers(0, 1))
+    try:
+        fields[k] = str(int(fields[k]) + draw(st.sampled_from([-1, 1])))
+    except ValueError:  # an earlier mutation made the field no integer
+        return lines
+    return [" ".join(fields)] + lines[1:]
+
+
+def _truncate(draw, lines):
+    """Empty input, or the header alone."""
+    return lines[: draw(st.integers(0, 1))]
+
+
+MUTATIONS = (_insert_blank, _respace, _retoken, _reshape_row, _miscount, _truncate)
+
+
+@st.composite
+def instance_texts(draw):
+    """Rendered graphs and knapsacks, mutated and joined by LF or CRLF."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        text = render_graph(gen_graph(n, draw(st.floats(0.0, 1.0)), 12, seed))
+    else:
+        text = render_knapsack(gen_knapsack(draw(st.integers(0, 6)), None, 12, 12, seed))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        lines = draw(st.sampled_from(MUTATIONS))(draw, lines)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(text=instance_texts())
+@settings(max_examples=400, deadline=None)
+def test_parsers_match_the_line_by_line_reference(text):
+    # Each text goes to both parsers, so graph rows meet the knapsack
+    # parser's widths and the other way round.
+    for parse, reference in [
+        (parse_graph, line_by_line_graph),
+        (parse_knapsack, line_by_line_knapsack),
+    ]:
+        assert _outcome(parse, text) == _outcome(reference, text), text
+
+
+def test_valid_text_needs_no_line_by_line_pass(monkeypatch):
+    # Every spelling ``int`` takes, and every blank line and separator
+    # ``str.split`` skips, is read by the whole-text passes alone.
+    def no_diagnosis(*args):
+        raise AssertionError("valid text reached _diagnose")
+
+    monkeypatch.setattr(cli, "_diagnose", no_diagnosis)
+    text = "\x0c\n2\t1\r\n \n+0  1 1_0\r\n\t\n"
+    assert parse_graph(text) == Graph(2, ((0, 1, 10),)) == line_by_line_graph(text)
+    text = "1 ٣\n\t０ +2"
+    assert parse_knapsack(text) == line_by_line_knapsack(text)
+    assert parse_knapsack(text).items == ((0, 2),)
+
+
 def test_round_trip_fixed_instances():
     assert render_graph(parse_graph(TRIANGLE_TEXT)) == TRIANGLE_TEXT
     assert render_knapsack(parse_knapsack(KNAP_TEXT)) == KNAP_TEXT
@@ -120,7 +252,8 @@ def test_gen_deterministic_per_seed():
 
 
 def _gen_graph_with_tuple_pairs(nodes, density, max_weight, seed):
-    """``gen_graph`` as it was when it held its spare pairs as tuples."""
+    """``gen_graph`` as it was when it held its spare pairs as tuples and
+    drew through ``rng.shuffle`` and ``rng.randint``."""
     rng = random.Random(seed)
     edges = []
     order = list(range(nodes))
@@ -145,17 +278,44 @@ def _gen_graph_with_tuple_pairs(nodes, density, max_weight, seed):
 
 def test_gen_graph_matches_tuple_pair_generator():
     # Packing pairs into ints changes no draw: ``shuffle`` consumes the RNG
-    # by list length alone, so every graph comes out the same.
+    # by list length alone.  The shuffle and the extra weights, drawn from
+    # ``getrandbits`` in place, make the draws ``Random`` makes, so every
+    # graph comes out the same.  A ``max_weight`` of 2**40 takes more than
+    # one 32-bit word per draw.
     cases = [
-        (n, density, seed)
+        (n, density, max_weight, seed)
         for n in (1, 2, 3, 5, 8, 13, 40)
         for density in (0.0, 0.1, 0.5, 0.9, 1.0)
+        for max_weight in (0, 1, 9, 1000, 2**40)
         for seed in range(12)
-    ] + [(350, 20 / 349, seed) for seed in range(3)]
-    for n, density, seed in cases:
-        assert gen_graph(n, density, 1000, seed) == _gen_graph_with_tuple_pairs(
-            n, density, 1000, seed
-        )
+    ] + [
+        (n, density, max_weight, seed)
+        for n, density in ((100, 0.2), (350, 20 / 349))
+        for max_weight in (0, 1000, 2**40)
+        for seed in (1, 2, 3)
+    ]
+    for case in cases:
+        assert gen_graph(*case) == _gen_graph_with_tuple_pairs(*case), case
+
+
+#: sha256 of ``render_graph(gen_graph(nodes, density, 1000, seed))`` for the
+#: spsp-exhaustive and tree-greedy benchmark shapes, taken from the generator
+#: that drew through ``rng.shuffle`` and ``rng.randint``.
+GRAPH_DIGESTS = {
+    (100, 0.2, 1): "d019d1beb4dcf67d0e70b7ab20d5c306fae81e8c011c854bfaa26743665ca2ad",
+    (100, 0.2, 2): "19d511b477073148be634d45fefc905ad5a9d87c52958296b5cf3c1a209118da",
+    (100, 0.2, 3): "1d4400d252e404f8f180309f4489308ce83cd83617c172e665c76254d2782fb5",
+    (350, 20 / 349, 1): "d2c7825dd9119936d230f9ebe4d1fb03da4dd4f385c8a1c15cc321df9e8dcaca",
+    (350, 20 / 349, 2): "510a2beb729b2c828ff52b48a1b3b9e449a28d3556ab3e564172c47e975b56ab",
+    (350, 20 / 349, 3): "de2bda905e7cc947e775565ad689a9722c330c2bb6ee35fbe0653e9f679ac38a",
+}
+
+
+@pytest.mark.parametrize("nodes, density, seed", sorted(GRAPH_DIGESTS))
+def test_gen_graph_benchmark_shapes_are_pinned(nodes, density, seed):
+    text = render_graph(gen_graph(nodes, density, 1000, seed))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GRAPH_DIGESTS[nodes, density, seed]
 
 
 # -- command behavior ----------------------------------------------------------
@@ -270,6 +430,21 @@ def test_compare_agrees(tmp_path, capsys):
         )
         assert code == 0, (problem, out)
         assert "agree: yes" in out
+
+
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # Editors on some systems save UTF-8 with a leading U+FEFF.
+    for problem, text, extra in [
+        ("spsp", TRIANGLE_TEXT, ["--target", "2"]),
+        ("knapsack", KNAP_TEXT, []),
+    ]:
+        plain = write(tmp_path, "plain.txt", text)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        argv = ["compare", "--problem", problem, "--json"] + extra
+        code, out, err = run_main(capsys, argv + ["--input", str(marked)])
+        assert code == 0 and err == "", err
+        assert (code, out, err) == run_main(capsys, argv + ["--input", plain])
 
 
 def test_compare_disagreement_exits_one(tmp_path, capsys, monkeypatch):
